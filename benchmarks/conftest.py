@@ -6,6 +6,9 @@ import pytest
 
 RESULTS_FILE = pathlib.Path(__file__).parent / "results" / "latest.txt"
 
+# Whether show() has written RESULTS_FILE yet in this pytest session.
+_shown = False
+
 
 def run_once(benchmark, func, *args, **kwargs):
     """Execute an experiment exactly once under the benchmark timer.
@@ -28,9 +31,11 @@ def run_once(benchmark, func, *args, **kwargs):
 def show(result, paper_note: str) -> None:
     """Print an experiment table (or tuple of tables) plus the paper anchor.
 
-    The rendered tables also append to ``benchmarks/results/latest.txt``
-    so the regenerated figures survive pytest's output capture.
+    The rendered tables also go to ``benchmarks/results/latest.txt`` so
+    the regenerated figures survive pytest's output capture: the first
+    call of a session rewrites the file, later calls append to it.
     """
+    global _shown
     tables = result if isinstance(result, tuple) else (result,)
     lines = []
     print()
@@ -40,5 +45,6 @@ def show(result, paper_note: str) -> None:
     print(f"Paper reference: {paper_note}")
     lines.append(f"Paper reference: {paper_note}\n")
     RESULTS_FILE.parent.mkdir(exist_ok=True)
-    with RESULTS_FILE.open("a") as handle:
+    with RESULTS_FILE.open("a" if _shown else "w") as handle:
         handle.write("\n".join(lines) + "\n")
+    _shown = True

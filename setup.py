@@ -20,12 +20,6 @@ setup(
             "pytest-cov",
             "hypothesis",
         ],
-        # Optional compiled kernel backends (`--kernel-backend numba`).
-        # Pure speed: every backend is bit-identical by contract, so
-        # nothing else may depend on this extra being installed.
-        "backends": [
-            "numba>=0.59",
-        ],
         # Static-analysis toolchain for the CI lint gate: ruff/mypy
         # configs live in ruff.toml / mypy.ini; the project-specific
         # rules need no extra install (`repro lint` ships in-package).

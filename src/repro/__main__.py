@@ -89,12 +89,6 @@ def _accepts_session(func) -> bool:
     return "session" in inspect.signature(func).parameters
 
 
-def _accepts_kernel_backend(func) -> bool:
-    """Whether an experiment runs MatmulEngine arithmetic directly
-    (session-driven experiments get the knob via the session instead)."""
-    return "kernel_backend" in inspect.signature(func).parameters
-
-
 def _tables(result) -> tuple:
     """Normalize an experiment's return value to a tuple of tables."""
     return result if isinstance(result, tuple) else (result,)
@@ -170,14 +164,6 @@ def _session_flags() -> argparse.ArgumentParser:
         choices=("roofline", "hierarchy"),
         default="roofline",
         help="memory model for FPRaker simulations (default: roofline)",
-    )
-    parent.add_argument(
-        "--kernel-backend",
-        choices=("numpy", "numba"),
-        default="numpy",
-        help="compiled kernel backend for the hot simulation loops "
-        "(bit-identical results; 'numba' needs the [backends] extra "
-        "and falls back to numpy with a warning when missing)",
     )
     return parent
 
@@ -304,7 +290,6 @@ def _serve(args) -> int:
     config = SessionConfig(
         jobs=args.jobs,
         memory_engine=args.memory_engine,
-        kernel_backend=args.kernel_backend,
         workload_cache=(
             args.workload_cache if args.workload_cache is not None else True
         ),
@@ -399,7 +384,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache,
             memory_engine=args.memory_engine,
-            kernel_backend=args.kernel_backend,
             workload_cache=(
                 args.workload_cache if args.workload_cache is not None else True
             ),
@@ -422,8 +406,6 @@ def main(argv: list[str] | None = None) -> int:
                 kwargs["partition"] = args.partition
         if _accepts_session(func):
             kwargs["session"] = session
-        if _accepts_kernel_backend(func):
-            kwargs["kernel_backend"] = args.kernel_backend
         result = func(**kwargs)
         if args.format == "json":
             json_out[name] = _payload(result)

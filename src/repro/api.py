@@ -65,11 +65,9 @@ def session(
 ) -> SimulationSession:
     """Open a memoizing simulation session.
 
-    The supported way to construct a session: pass a ready
-    :class:`SessionConfig`, or the config's fields as keywords (they
-    build one) -- ``api.session(jobs=4)`` is
-    ``SimulationSession(config=SessionConfig(jobs=4))`` without the
-    deprecation shim of the legacy constructor.
+    Pass a ready :class:`SessionConfig`, or the config's fields as
+    keywords (they build one) -- ``api.session(jobs=4)`` is
+    ``SimulationSession(config=SessionConfig(jobs=4))``.
 
     Args:
         config: a ready session configuration.

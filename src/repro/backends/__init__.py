@@ -1,269 +1,23 @@
-"""Compiled kernel backends behind a bit-exact dispatch contract.
+"""The three hot kernels of the simulation pipeline.
 
-The three hottest loops of the simulation pipeline -- the compacting
-schedule cycle loop (:func:`repro.core.schedule.schedule_from_weights_compact`),
-the batched column timeline of :meth:`repro.core.tile.TileSimulator.simulate_strips`,
-and the chunked matmul emulation of :class:`repro.nn.fpmath.MatmulEngine` --
-dispatch through the small :class:`KernelBackend` interface defined
-here instead of hard-coding their numpy bodies.  Two backends register
-out of the box:
-
-* ``numpy`` (the default): the existing vectorized loops, moved here
-  verbatim -- always available, and the reference every other backend
-  is pinned against;
-* ``numba``: ``@njit``-compiled per-group/per-cell loops, available
-  when the optional :mod:`numba` package is installed (the
-  ``[backends]`` extra); requesting it without numba falls back to
-  numpy with a one-time warning.
-
-**The dispatch contract is bit-exactness**: every backend must produce
-byte-identical results to the serial references retained in
-``core/schedule.py`` / ``core/tile.py`` / ``nn/fpmath.py`` -- the same
-hypothesis property suites that pin ``strip_engine="batched"`` pin each
-backend (``tests/backends/``).  That is why the ``kernel_backend`` knob
-deliberately does NOT enter canonical cache keys: a cached result is
-valid under every backend.
-
-The registry is open: a Cython or Array-API backend slots in by
-extending :data:`KERNEL_BACKENDS` (the lint-pinned literal set, rule
-RPR004) and registering a loader with :func:`register_backend`.
+The compacting schedule cycle loop
+(:func:`repro.core.schedule.schedule_from_weights_compact`), the
+batched column timeline of
+:meth:`repro.core.tile.TileSimulator.simulate_strips`, and the chunked
+matmul group loop of :class:`repro.nn.fpmath.MatmulEngine` live as
+methods of :class:`repro.backends.numpy_backend.NumpyBackend`, called
+through its one shared instance :data:`~repro.backends.numpy_backend.KERNELS`.
+Each is pinned bit for bit against the serial references those modules
+retain.
 """
 
-from __future__ import annotations
-
-import functools
-import warnings
-from abc import ABC, abstractmethod
-from typing import Callable
-
-import numpy as np
-
-# Registered kernel-backend names.  THE source of truth for the
-# ``kernel_backend`` dispatch knob: the lint rule RPR004 pins every
-# membership test, comparison and CLI ``choices=`` tuple to this set,
-# so adding a backend starts here and the lint run then enumerates the
-# dispatch sites that still need extending.
-KERNEL_BACKENDS = ("numpy", "numba")
-
-__all__ = [
-    "KERNEL_BACKENDS",
-    "BackendUnavailableError",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-]
+__all__ = ["KernelBackend"]
 
 
-class BackendUnavailableError(RuntimeError):
-    """A registered backend's runtime dependency is not installed."""
+class KernelBackend:
+    """Plain base of :class:`~repro.backends.numpy_backend.NumpyBackend`.
 
-
-class KernelBackend(ABC):
-    """The three hot-kernel entry points every backend implements.
-
-    Each method is required to be **bit-identical** to the numpy
-    reference implementation for every input the callers can produce;
-    the cross-backend property suites in ``tests/backends/`` enforce
-    the contract the same way the batched/serial strip engines are
-    pinned against each other.
+    It remains so the benchmark's span tracer (``perfbench/spans.py``)
+    can find the kernel class as ``KernelBackend.__subclasses__()`` and
+    time its methods as the ``backends.*`` layer.
     """
-
-    #: Registry name of the backend (matches a KERNEL_BACKENDS entry).
-    name: str = ""
-
-    @abstractmethod
-    def compact_cycle_loop(
-        self,
-        k: np.ndarray,
-        kept: np.ndarray,
-        window: int,
-        sentinel: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Run the compacting schedule cycle loop over a group batch.
-
-        Args:
-            k: ``[groups, lanes, terms]`` ascending alignment offsets,
-                sentinel-padded, int16 or int64.
-            kept: ``[groups, lanes]`` surviving term counts (int64).
-            window: the PE shift window.
-            sentinel: the "no term" offset value of ``k``'s dtype.
-
-        Returns:
-            ``(cycles, useful, shift_stall, no_term)`` int64 arrays --
-            ``cycles`` of shape ``[groups]``, the rest
-            ``[groups, lanes]`` -- exactly as the reference loop in
-            :func:`repro.core.schedule.schedule_from_weights` produces
-            for each group.
-        """
-
-    @abstractmethod
-    def column_timeline(
-        self, col_cycles: np.ndarray, depth: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sequence batched column steps under the B-buffer constraint.
-
-        Args:
-            col_cycles: ``[strip, cols, steps]`` per-column group
-                durations (int64).
-            depth: B-broadcast buffer depth (set ``s`` is released once
-                every column consumed set ``s - depth``).
-
-        Returns:
-            ``(finish, cross_idle)`` int64 arrays of ``col_cycles``'s
-            shape: completion time of every column step, and the idle
-            cycles each column spent waiting on held-back B sets.
-        """
-
-    @abstractmethod
-    def accumulate_chunks(
-        self,
-        a_exp: np.ndarray,
-        b_exp: np.ndarray,
-        a_mag: np.ndarray,
-        b_signed: np.ndarray,
-        lut: np.ndarray,
-        frac: int,
-        group: int,
-        fpraker: bool,
-        man_dtype: type,
-    ) -> np.ndarray:
-        """Run the group loop of the chunked matmul emulation.
-
-        Args:
-            a_exp: ``[M, chunks, span]`` int16 serial-side exponents.
-            b_exp: ``[chunks, span, N]`` int16 parallel-side exponents.
-            a_mag: serial-side magnitudes ``[M, chunks, span]`` -- the
-                flattened signed-partial LUT indices (int16) in
-                ``fpraker`` mode, else signed significands in
-                ``man_dtype``.
-            b_signed: ``[chunks, span, N]`` signed parallel
-                significands scaled by ``2^-14``, in ``man_dtype``.
-            lut: the flattened signed-partial CSD table
-                (:data:`repro.encoding.booth._LUT_PARTIAL_SIGNED16_FLAT`);
-                only read in ``fpraker`` mode.
-            frac: accumulator fractional bits.
-            group: MACs per accumulation round.
-            fpraker: drop out-of-bounds CSD terms of the serial side.
-            man_dtype: ``np.float32`` or ``np.float64`` -- the
-                significand work dtype (exact either way by the caller's
-                range guarantee, so both give identical bytes).
-
-        Returns:
-            float64 ``[M, chunks, N]`` chunk-final accumulator values.
-        """
-
-
-# name -> zero-argument loader returning a KernelBackend instance.
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
-
-
-def register_backend(
-    name: str,
-) -> Callable[[Callable[[], KernelBackend]], Callable[[], KernelBackend]]:
-    """Register a backend loader under a :data:`KERNEL_BACKENDS` name.
-
-    Args:
-        name: the backend's registry name.
-
-    Returns:
-        A decorator storing the loader; the loader runs lazily on the
-        first :func:`get_backend` call and may raise
-        :class:`BackendUnavailableError` when its dependency is absent.
-    """
-
-    def decorate(
-        loader: Callable[[], KernelBackend],
-    ) -> Callable[[], KernelBackend]:
-        _REGISTRY[name] = loader
-        return loader
-
-    return decorate
-
-
-@register_backend("numpy")
-def _load_numpy() -> KernelBackend:
-    """The always-available numpy reference backend."""
-    from repro.backends.numpy_backend import NumpyBackend
-
-    return NumpyBackend()
-
-
-@register_backend("numba")
-def _load_numba() -> KernelBackend:
-    """The optional ``@njit``-compiled backend (``[backends]`` extra)."""
-    try:
-        from repro.backends.numba_backend import NumbaBackend
-    except ImportError as exc:
-        raise BackendUnavailableError(
-            "kernel backend 'numba' needs the optional numba package "
-            f"(pip install repro[backends]): {exc}"
-        )
-    return NumbaBackend()
-
-
-@functools.lru_cache(maxsize=None)
-def get_backend(name: str) -> KernelBackend:
-    """The backend registered under ``name``, instantiated once.
-
-    Args:
-        name: a :data:`KERNEL_BACKENDS` entry.
-
-    Returns:
-        The cached :class:`KernelBackend` instance.
-
-    Raises:
-        ValueError: on an unregistered name.
-        BackendUnavailableError: when the backend's dependency is
-            missing (use :func:`resolve_backend` for the falling-back
-            variant).
-    """
-    if name not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; registered backends: "
-            f"{KERNEL_BACKENDS}"
-        )
-    return _REGISTRY[name]()
-
-
-@functools.lru_cache(maxsize=None)
-def resolve_backend(name: str) -> KernelBackend:
-    """:func:`get_backend` with graceful fallback to numpy.
-
-    Every backend is bit-identical by contract, so falling back changes
-    speed, never results; the warning fires once per process so sweeps
-    do not spam it.
-
-    Args:
-        name: a :data:`KERNEL_BACKENDS` entry.
-
-    Returns:
-        The requested backend, or the numpy backend when the requested
-        one is unavailable.
-
-    Raises:
-        ValueError: on an unregistered name.
-    """
-    try:
-        return get_backend(name)
-    except BackendUnavailableError as exc:
-        warnings.warn(
-            f"{exc} -- falling back to the numpy backend "
-            "(results are bit-identical by contract, only slower)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return get_backend("numpy")
-
-
-def available_backends() -> tuple[str, ...]:
-    """The registered backends whose dependencies import cleanly."""
-    names = []
-    for name in KERNEL_BACKENDS:
-        try:
-            get_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return tuple(names)

@@ -1,11 +1,11 @@
-"""The default (and reference) numpy kernel backend.
+"""The numpy hot kernels, called through the shared :data:`KERNELS`.
 
-These are the exact loop bodies that previously lived inline in
-``core/schedule.py``, ``core/tile.py`` and ``nn/fpmath.py`` -- moved
-here unchanged so every other backend has a always-importable
-bit-exact reference to be pinned against.  Keep them boring: any
+These are the vectorized loop bodies of ``core/schedule.py``,
+``core/tile.py`` and ``nn/fpmath.py``.  Keep them boring: any
 "optimization" here must re-prove bit-identity against the serial
-references those modules retain.
+references those modules retain.  Callers look each method up on
+:data:`KERNELS` when they call it, so the benchmark's tracer can wrap
+the methods on the class after import.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from repro.nn.fpmath import _BF16_FRAC, _leading_exponent16, _round_finite
 class NumpyBackend(KernelBackend):
     """Vectorized numpy implementation of the three hot kernels."""
 
-    name = "numpy"
-
     def compact_cycle_loop(
         self,
         k: np.ndarray,
@@ -28,7 +26,22 @@ class NumpyBackend(KernelBackend):
         window: int,
         sentinel: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The compacting schedule loop (see :class:`KernelBackend`)."""
+        """Run the compacting schedule cycle loop over a group batch.
+
+        Args:
+            k: ``[groups, lanes, terms]`` ascending alignment offsets,
+                sentinel-padded, int16 or int64.
+            kept: ``[groups, lanes]`` surviving term counts (int64).
+            window: the PE shift window.
+            sentinel: the "no term" offset value of ``k``'s dtype.
+
+        Returns:
+            ``(cycles, useful, shift_stall, no_term)`` int64 arrays --
+            ``cycles`` of shape ``[groups]``, the rest
+            ``[groups, lanes]`` -- exactly as the reference loop in
+            :func:`repro.core.schedule.schedule_from_weights` produces
+            for each group.
+        """
         groups, lanes, n_terms = k.shape
         last_slot = n_terms - 1
         cycles = np.zeros(groups, dtype=np.int64)
@@ -99,11 +112,22 @@ class NumpyBackend(KernelBackend):
     def column_timeline(
         self, col_cycles: np.ndarray, depth: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The batched column-step timeline (see :class:`KernelBackend`).
+        """Sequence batched column steps under the B-buffer constraint.
 
         The step loop is unavoidable (each step's release gate depends
         on earlier finishes) but runs once for the whole batch, with
         every strip advancing in lockstep.
+
+        Args:
+            col_cycles: ``[strip, cols, steps]`` per-column group
+                durations (int64).
+            depth: B-broadcast buffer depth (set ``s`` is released once
+                every column consumed set ``s - depth``).
+
+        Returns:
+            ``(finish, cross_idle)`` int64 arrays of ``col_cycles``'s
+            shape: completion time of every column step, and the idle
+            cycles each column spent waiting on held-back B sets.
         """
         strips, cols, steps = col_cycles.shape
         finish = np.zeros((strips, cols, steps), dtype=np.int64)
@@ -135,7 +159,30 @@ class NumpyBackend(KernelBackend):
         fpraker: bool,
         man_dtype: type,
     ) -> np.ndarray:
-        """The chunked matmul group loop (see :class:`KernelBackend`)."""
+        """Run the group loop of the chunked matmul emulation.
+
+        Args:
+            a_exp: ``[M, chunks, span]`` int16 serial-side exponents.
+            b_exp: ``[chunks, span, N]`` int16 parallel-side exponents.
+            a_mag: serial-side magnitudes ``[M, chunks, span]`` -- the
+                flattened signed-partial LUT indices (int16) in
+                ``fpraker`` mode, else signed significands in
+                ``man_dtype``.
+            b_signed: ``[chunks, span, N]`` signed parallel
+                significands scaled by ``2^-14``, in ``man_dtype``.
+            lut: the flattened signed-partial CSD table
+                (:data:`repro.encoding.booth._LUT_PARTIAL_SIGNED16_FLAT`);
+                only read in ``fpraker`` mode.
+            frac: accumulator fractional bits.
+            group: MACs per accumulation round.
+            fpraker: drop out-of-bounds CSD terms of the serial side.
+            man_dtype: ``np.float32`` or ``np.float64`` -- the
+                significand work dtype (exact either way by the caller's
+                range guarantee, so both give identical bytes).
+
+        Returns:
+            float64 ``[M, chunks, N]`` chunk-final accumulator values.
+        """
         m_rows, chunks, span = a_exp.shape
         n_cols = b_exp.shape[2]
         acc = np.zeros((m_rows, chunks, n_cols), dtype=np.float64)
@@ -174,3 +221,7 @@ class NumpyBackend(KernelBackend):
                 np.ldexp(total, gexp.astype(np.int64)), frac
             )
         return acc
+
+
+#: The one instance every call site uses.
+KERNELS = NumpyBackend()

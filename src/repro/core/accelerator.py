@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.backends import KERNEL_BACKENDS
 from repro.compression.base_delta import mean_compression_ratio
 from repro.core.config import AcceleratorConfig, TileConfig, fpraker_paper_config
 from repro.core.stats import SimCounters
@@ -376,12 +375,6 @@ class AcceleratorSimulator:
             are bit-identical between the two; only the memory-bound
             cycles (never below the roofline's), off-chip bytes, and
             on-chip energy can differ.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the batched tile engine's hot loops run through
-            (``"numpy"`` default; ``"numba"`` falls back to numpy with
-            a warning when the optional dependency is absent).  Every
-            backend is bit-identical by contract, so the knob changes
-            speed, never results.
     """
 
     # Stacked simulate_strips calls are capped at this many
@@ -401,14 +394,11 @@ class AcceleratorSimulator:
         strip_engine: str = "batched",
         phase_stacking: bool = True,
         memory_engine: str = "roofline",
-        kernel_backend: str = "numpy",
     ) -> None:
         if strip_engine not in ("batched", "serial"):
             raise ValueError(f"unknown strip engine {strip_engine!r}")
         if memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {memory_engine!r}")
-        if kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(f"unknown kernel backend {kernel_backend!r}")
         self.config = config if config is not None else fpraker_paper_config()
         self.energy = energy if energy is not None else EnergyModel()
         self.dram = dram if dram is not None else DRAMModel()
@@ -418,7 +408,6 @@ class AcceleratorSimulator:
         self.strip_engine = strip_engine
         self.phase_stacking = phase_stacking
         self.memory_engine = memory_engine
-        self.kernel_backend = kernel_backend
 
     def _prepare_phase(self, workload: PhaseWorkload) -> _PhasePrep:
         """Draw one phase's operand strips (the per-phase RNG sequence)."""
@@ -504,9 +493,7 @@ class AcceleratorSimulator:
             The scaled :class:`LayerPhaseResult`.
         """
         prep = self._prepare_phase(workload)
-        simulator = TileSimulator(
-            prep.tile_cfg, kernel_backend=self.kernel_backend
-        )
+        simulator = TileSimulator(prep.tile_cfg)
         if self.strip_engine == "serial":
             # Reference path: one strip at a time, identical operands.
             sampled = SimCounters()
@@ -625,9 +612,7 @@ class AcceleratorSimulator:
             groups.setdefault((prep.tile_cfg, prep.steps), []).append(index)
         phases: list[LayerPhaseResult | None] = [None] * len(preps)
         for (tile_cfg, _), indices in groups.items():
-            simulator = TileSimulator(
-                tile_cfg, kernel_backend=self.kernel_backend
-            )
+            simulator = TileSimulator(tile_cfg)
             per_call = max(
                 1, self._MAX_STACK_ROWS // max(1, self.sample_strips * tile_cfg.rows)
             )

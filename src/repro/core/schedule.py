@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends.numpy_backend import KERNELS
 from repro.core.config import PEConfig
 from repro.encoding.booth import term_positions
 from repro.encoding.terms import MAX_TERMS, TERM_SLOTS
@@ -303,7 +303,6 @@ def schedule_from_weights_compact(
     zero_slots: np.ndarray,
     ob_skipped: np.ndarray,
     config: PEConfig,
-    kernel_backend: str = "numpy",
 ) -> ScheduleResult:
     """Compacting variant of :func:`schedule_from_weights`.
 
@@ -321,9 +320,8 @@ def schedule_from_weights_compact(
     the batched engine's int16 offsets.
 
     The residual cycle loop (the groups the closed-form fast path below
-    cannot answer) runs through the :mod:`repro.backends` kernel layer;
-    every backend is bit-identical by contract, so the knob never
-    changes results.
+    cannot answer) is the shared
+    :meth:`~repro.backends.numpy_backend.NumpyBackend.compact_cycle_loop`.
 
     Args:
         k: ``[..., lanes, MAX_TERMS]`` ascending offsets, sentinel
@@ -332,8 +330,6 @@ def schedule_from_weights_compact(
         zero_slots: ``[..., lanes]`` never-encoded slots.
         ob_skipped: ``[..., lanes]`` OB-discarded terms.
         config: PE parameters (shift window).
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            running the residual cycle loop.
 
     Returns:
         The per-group :class:`ScheduleResult` in the leading shape.
@@ -371,8 +367,7 @@ def schedule_from_weights_compact(
     no_term = np.where(fast[:, None], fast_cycles[:, None] - kept_all, no_term)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        backend = resolve_backend(kernel_backend)
-        s_cycles, s_useful, s_shift, s_no_term = backend.compact_cycle_loop(
+        s_cycles, s_useful, s_shift, s_no_term = KERNELS.compact_cycle_loop(
             k_all[slow], kept_all[slow], window, sentinel
         )
         cycles[slow] = s_cycles

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import resolve_backend
+from repro.backends.numpy_backend import KERNELS
 from repro.core.config import TileConfig
 from repro.core.schedule import (
     _K_SENTINEL,
@@ -209,20 +209,10 @@ class TileSimulator:
 
     Args:
         config: tile geometry and PE parameters.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry the
-            batched engine's hot loops (compact schedule, column
-            timeline) run through; bit-identical by contract, so the
-            knob never changes results.  The serial reference engine
-            stays pure numpy regardless.
     """
 
-    def __init__(
-        self,
-        config: TileConfig | None = None,
-        kernel_backend: str = "numpy",
-    ) -> None:
+    def __init__(self, config: TileConfig | None = None) -> None:
         self.config = config if config is not None else TileConfig()
-        self.kernel_backend = kernel_backend
 
     def simulate_strip(
         self,
@@ -479,8 +469,7 @@ class TileSimulator:
         # any >= _SENT16 entry as "no term", so no int64 widening pass
         # is needed between the schedule build and the loop.
         return schedule_from_weights_compact(
-            k_fire, col_kept, zero_slots, col_ob, cfg,
-            kernel_backend=self.kernel_backend,
+            k_fire, col_kept, zero_slots, col_ob, cfg
         )
 
     def _column_timeline(
@@ -516,11 +505,11 @@ class TileSimulator:
         """Batched :meth:`_column_timeline` over ``[strip, col, step]``.
 
         The step loop (each step's release gate depends on earlier
-        finishes) runs through the kernel-backend layer: once over the
-        whole batch, with every strip advancing in lockstep.
+        finishes) is the shared
+        :meth:`~repro.backends.numpy_backend.NumpyBackend.column_timeline`:
+        once over the whole batch, with every strip advancing in lockstep.
         """
-        backend = resolve_backend(self.kernel_backend)
-        return backend.column_timeline(col_cycles, self.config.buffer_depth)
+        return KERNELS.column_timeline(col_cycles, self.config.buffer_depth)
 
     def _build_counters(
         self,

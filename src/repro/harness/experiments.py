@@ -337,7 +337,7 @@ def run_fig12_energy(
     session = _session_for(
         session, models, (None,), progress, seed, memory_engine=memory_engine
     )
-    hierarchy = session.memory_engine == "hierarchy"
+    hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "Compute", "Control", "Accumulation", "On-chip",
                "Off-chip", "Total vs baseline"]
     if hierarchy:
@@ -463,7 +463,7 @@ def run_fig15_stalls(
         with_baseline=False,
         memory_engine=memory_engine,
     )
-    hierarchy = session.memory_engine == "hierarchy"
+    hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "useful", "no term", "shift range", "inter-PE",
                "exponent"]
     if hierarchy:
@@ -603,16 +603,13 @@ def run_fig17_accuracy(
     seed: int = 7,
     classes: int = 4,
     noise: float = 0.9,
-    kernel_backend: str = "numpy",
 ) -> Table:
     """Fig 17: training accuracy under fp32 / bf16 / FPRaker arithmetic.
 
     Trains the same network from the same initialization on the same
     batches under the three arithmetic modes; the paper's claim is that
     the FPRaker curve tracks the bf16 baseline within noise because it
-    only skips work that cannot change the rounded result.  The
-    ``kernel_backend`` knob picks the compiled kernel layer for the
-    emulated matmuls (bit-identical by contract).
+    only skips work that cannot change the rounded result.
     """
     from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
     from repro.nn.network import Sequential
@@ -627,9 +624,7 @@ def run_fig17_accuracy(
     curves = {}
     for mode in ("fp32", "bf16", "fpraker"):
         rng = np.random.default_rng(seed)
-        engine = MatmulEngine(
-            EngineConfig(mode=mode, kernel_backend=kernel_backend)
-        )
+        engine = MatmulEngine(EngineConfig(mode=mode))
         network = Sequential(
             [
                 Conv2d(1, 8, 3, engine, rng, padding=1, name="conv1"),

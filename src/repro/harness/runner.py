@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import json
 import os
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.backends import KERNEL_BACKENDS
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.baseline import BaselineAccelerator
 from repro.core.config import (
@@ -313,41 +311,26 @@ def canonical_key(
 
 
 def execute_request(
-    request: SimRequest,
-    sample_strips: int = 8,
-    sample_steps: int = 32,
-    sim_seed: int = 1234,
-    memory_engine: str = "roofline",
-    workload_cache="default",
-    kernel_backend: str = "numpy",
+    request: SimRequest, config: SessionConfig
 ) -> WorkloadResult:
     """Run one simulation cold (module-level so worker processes can
     receive it by name).
 
     Args:
         request: the simulation to run.
-        sample_strips: operand strips sampled per layer-phase.
-        sample_steps: reduction groups per strip.
-        sim_seed: operand-sampling RNG seed.
-        memory_engine: ``"roofline"`` or ``"hierarchy"`` (FPRaker-style
+        config: the session configuration it runs under.  The sampling
+            fields, ``sim_seed`` and ``memory_engine`` (FPRaker-style
             simulators only; the analytic baseline is roofline-priced
-            either way).
-        workload_cache: workload-reuse spec forwarded to
-            :func:`repro.traces.workloads.build_workloads` --
-            ``"default"``, a cache instance, a disk directory (strings
-            survive the trip into worker processes), or None for cold
-            builds.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the hot kernels run through.  Deliberately absent from
-            :func:`canonical_key`: every backend is bit-identical by
-            contract, so a cached result is valid under all of them.
+            either way) reach the simulator, and
+            :attr:`SessionConfig.workload_cache_spec` is forwarded to
+            :func:`repro.traces.workloads.build_workloads`.
 
     Returns:
         The simulated :class:`WorkloadResult` -- or, when
         ``request.nodes > 1``, the aggregated
         :class:`repro.scale.ScaleOutResult`.
     """
-    config = request.resolved_config()
+    accelerator = request.resolved_config()
     kwargs = {}
     if request.phases is not None:
         kwargs["phases"] = request.phases
@@ -356,37 +339,35 @@ def execute_request(
         progress=request.progress,
         seed=request.seed,
         acc_profile=dict(request.acc_profile) if request.acc_profile else None,
-        cache=workload_cache,
+        cache=config.workload_cache_spec,
         **kwargs,
     )
     if request.nodes > 1:
         from repro.scale.scaleout import ScaleOutSimulator
 
         simulator = ScaleOutSimulator(
-            config,
+            accelerator,
             nodes=request.nodes,
             scheme=request.partition,
-            sample_strips=sample_strips,
-            sample_steps=sample_steps,
-            seed=sim_seed,
-            memory_engine=memory_engine,
-            kernel_backend=kernel_backend,
+            sample_strips=config.sample_strips,
+            sample_steps=config.sample_steps,
+            seed=config.sim_seed,
+            memory_engine=config.memory_engine,
         )
         return simulator.simulate_workload(workloads, model=request.model)
-    if config.name == "baseline":
-        return BaselineAccelerator(config).simulate_workload(workloads)
+    if accelerator.name == "baseline":
+        return BaselineAccelerator(accelerator).simulate_workload(workloads)
     simulator_cls = (
         PragmaticFPAccelerator
-        if config.name == "pragmatic-fp"
+        if accelerator.name == "pragmatic-fp"
         else AcceleratorSimulator
     )
     simulator = simulator_cls(
-        config,
-        sample_strips=sample_strips,
-        sample_steps=sample_steps,
-        seed=sim_seed,
-        memory_engine=memory_engine,
-        kernel_backend=kernel_backend,
+        accelerator,
+        sample_strips=config.sample_strips,
+        sample_steps=config.sample_steps,
+        seed=config.sim_seed,
+        memory_engine=config.memory_engine,
     )
     return simulator.simulate_workload(workloads)
 
@@ -395,15 +376,16 @@ def execute_request(
 class SessionConfig:
     """Every knob of a :class:`SimulationSession`, as one frozen value.
 
-    The stable public form of the session's former seven loose keyword
-    arguments: validated on construction, hashable, and shared verbatim
-    by the in-process API (:mod:`repro.api`), the CLI, and the
-    ``repro serve`` daemon -- one configuration object for every front
-    end.
+    Validated on construction, hashable, and shared verbatim by the
+    in-process API (:mod:`repro.api`), the CLI, the ``repro serve``
+    daemon and :func:`execute_request` -- one configuration object for
+    every front end.  ``jobs``, ``cache_dir`` and ``workload_cache``
+    never change a result; every other field is part of
+    :func:`canonical_key`.
 
     Attributes:
         jobs: worker processes for prefetch fan-out (values below 1 are
-            clamped to serial, matching the legacy constructor).
+            clamped to serial).
         cache_dir: directory for on-disk result persistence (None
             disables it).
         sample_strips: operand strips sampled per layer-phase.
@@ -414,11 +396,6 @@ class SessionConfig:
             persisted under ``cache_dir/workloads`` when ``cache_dir``
             is set), ``False`` (rebuild per simulation), or a disk
             directory.
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the hot kernels run through (``"numpy"`` default;
-            ``"numba"`` falls back to numpy with a warning when the
-            optional dependency is absent).  Never part of canonical
-            cache keys: every backend is bit-identical by contract.
     """
 
     jobs: int = 1
@@ -428,7 +405,6 @@ class SessionConfig:
     sim_seed: int = 1234
     memory_engine: str = "roofline"
     workload_cache: bool | str = True
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         """Validate and normalize every field (frozen-safe)."""
@@ -447,11 +423,6 @@ class SessionConfig:
             )
         if self.memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {self.memory_engine!r}")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
         if not isinstance(self.workload_cache, bool):
@@ -483,7 +454,6 @@ class SessionConfig:
             "sim_seed": self.sim_seed,
             "memory_engine": self.memory_engine,
             "workload_cache": self.workload_cache,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
@@ -515,7 +485,7 @@ class SessionConfig:
             )
         known = (
             "schema", "jobs", "cache_dir", "sample_strips", "sample_steps",
-            "sim_seed", "memory_engine", "workload_cache", "kernel_backend",
+            "sim_seed", "memory_engine", "workload_cache",
         )
         unknown = sorted(set(data) - set(known))
         if unknown:
@@ -531,7 +501,6 @@ class SessionConfig:
             "sim_seed": data.get("sim_seed"),
             "memory_engine": data.get("memory_engine"),
             "workload_cache": data.get("workload_cache"),
-            "kernel_backend": data.get("kernel_backend"),
         }
         kwargs = {}
         for name, value in values.items():
@@ -562,87 +531,20 @@ class SessionStats:
 class SimulationSession:
     """Memoizing, optionally parallel front end to all simulators.
 
-    The primary constructor takes one :class:`SessionConfig`::
+    Build one from a :class:`SessionConfig` (or with
+    :func:`repro.api.session`)::
 
         session = SimulationSession(config=SessionConfig(jobs=4))
 
-    The original seven loose keyword arguments (``jobs``, ``cache_dir``,
-    ``sample_strips``, ``sample_steps``, ``sim_seed``,
-    ``memory_engine``, ``workload_cache`` -- see the matching
-    :class:`SessionConfig` fields for their semantics) still construct
-    a session, but emit a :class:`DeprecationWarning`; new code should
-    build a :class:`SessionConfig` (or call :func:`repro.api.session`).
-
     Args:
-        config: the session configuration (None with no legacy keywords
-            = all defaults).
-        jobs: deprecated -- use ``config``.
-        cache_dir: deprecated -- use ``config``.
-        sample_strips: deprecated -- use ``config``.
-        sample_steps: deprecated -- use ``config``.
-        sim_seed: deprecated -- use ``config``.
-        memory_engine: deprecated -- use ``config``.
-        workload_cache: deprecated -- use ``config``.
+        config: the session configuration (None = all defaults).
     """
 
-    def __init__(
-        self,
-        config: SessionConfig | None = None,
-        cache_dir: str | os.PathLike | None = None,
-        sample_strips: int | None = None,
-        sample_steps: int | None = None,
-        sim_seed: int | None = None,
-        memory_engine: str | None = None,
-        workload_cache: bool | str | os.PathLike | None = None,
-        jobs: int | None = None,
-    ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("jobs", jobs),
-                ("cache_dir", cache_dir),
-                ("sample_strips", sample_strips),
-                ("sample_steps", sample_steps),
-                ("sim_seed", sim_seed),
-                ("memory_engine", memory_engine),
-                ("workload_cache", workload_cache),
-            )
-            if value is not None
-        }
-        if config is not None and not isinstance(config, SessionConfig):
-            # Positional legacy form: the first parameter used to be
-            # `jobs`.  Shift it into the legacy keyword set.
-            legacy.setdefault("jobs", config)
-            config = None
-        if config is not None and legacy:
-            raise TypeError(
-                "pass either config=SessionConfig(...) or the legacy "
-                "keyword arguments, not both: got config= and "
-                + ", ".join(sorted(legacy))
-            )
-        if config is None:
-            if legacy:
-                warnings.warn(
-                    "SimulationSession's loose keyword arguments "
-                    f"({', '.join(sorted(legacy))}) are deprecated; "
-                    "construct with "
-                    "SimulationSession(config=SessionConfig(...)) or "
-                    "repro.api.session(...)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            config = SessionConfig(**legacy)
-        self.config = config
-        self.jobs = config.jobs
-        self.sample_strips = config.sample_strips
-        self.sample_steps = config.sample_steps
-        self.sim_seed = config.sim_seed
-        self.memory_engine = config.memory_engine
-        self.kernel_backend = config.kernel_backend
-        self.workload_cache_spec = config.workload_cache_spec
+    def __init__(self, config: SessionConfig | None = None) -> None:
+        self.config = config if config is not None else SessionConfig()
         self.disk = (
-            ResultCache(config.cache_dir)
-            if config.cache_dir is not None
+            ResultCache(self.config.cache_dir)
+            if self.config.cache_dir is not None
             else None
         )
         self.stats = SessionStats()
@@ -654,10 +556,10 @@ class SimulationSession:
         """Canonical key of a request under this session's sampling."""
         return canonical_key(
             request,
-            self.sample_strips,
-            self.sample_steps,
-            self.sim_seed,
-            self.memory_engine,
+            self.config.sample_strips,
+            self.config.sample_steps,
+            self.config.sim_seed,
+            self.config.memory_engine,
         )
 
     @property
@@ -787,21 +689,12 @@ class SimulationSession:
         if not todo:
             return
         items = list(todo.items())
-        if self.jobs == 1 or len(items) == 1:
+        if self.config.jobs == 1 or len(items) == 1:
             results = [self._execute(request) for _, request in items]
         else:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=self.config.jobs) as pool:
                 futures = [
-                    pool.submit(
-                        execute_request,
-                        request,
-                        self.sample_strips,
-                        self.sample_steps,
-                        self.sim_seed,
-                        self.memory_engine,
-                        self.workload_cache_spec,
-                        self.kernel_backend,
-                    )
+                    pool.submit(execute_request, request, self.config)
                     for _, request in items
                 ]
                 results = [future.result() for future in futures]
@@ -832,12 +725,4 @@ class SimulationSession:
     def _execute(self, request: SimRequest) -> WorkloadResult:
         """Run one cold simulation in-process."""
         self.stats.simulations += 1
-        return execute_request(
-            request,
-            self.sample_strips,
-            self.sample_steps,
-            self.sim_seed,
-            self.memory_engine,
-            self.workload_cache_spec,
-            self.kernel_backend,
-        )
+        return execute_request(request, self.config)

@@ -8,11 +8,11 @@ statically ties the key constructors to their input surfaces:
 
 * the parameters of a key-constructor function (``canonical_key``,
   ``workload_key``) must all appear as keys of the spec dict it builds;
-* the fields of :class:`SimRequest`, the parameters of
-  ``execute_request``, and the parameters of
-  ``SimulationSession.__init__`` (minus the documented non-key knobs:
+* the annotated fields of :class:`SimRequest` and of
+  :class:`SessionConfig` (minus the documented non-key knobs:
   parallelism and cache plumbing) must appear in ``canonical_key``'s
-  spec -- they are the full set of values that reach a simulator;
+  spec -- ``execute_request(request, config)`` takes exactly these two
+  values, so they are the full set that reaches a simulator;
 * the spec must be serialized with ``json.dumps(..., sort_keys=True)``
   so the key is independent of dict construction order.
 
@@ -33,12 +33,10 @@ from repro.lint.registry import Rule, register
 # the rule fires in any module defining one of these).
 KEY_BUILDERS = ("canonical_key", "workload_key")
 
-# Parameters that are *not* part of a simulation's result: the request
+# Names that are *not* part of a simulation's result: the request
 # object itself (its fields are checked individually), execution
-# plumbing, cache plumbing, and the kernel backend (bit-identical by
-# contract -- see repro.backends -- so a cached result is valid under
-# every backend).  Documented in docs/LINTING.md; anything else
-# reaching a simulator must be keyed.
+# plumbing and cache plumbing.  Documented in docs/LINTING.md; anything
+# else reaching a simulator must be keyed.
 NON_KEY_PARAMS = {
     "self",
     "cls",
@@ -46,7 +44,6 @@ NON_KEY_PARAMS = {
     "jobs",
     "cache_dir",
     "workload_cache",
-    "kernel_backend",
 }
 
 
@@ -88,14 +85,6 @@ def _required_from_class_fields(classdef: ast.ClassDef) -> list[str]:
     ]
 
 
-def _init_of(classdef: ast.ClassDef) -> ast.FunctionDef | None:
-    """The class's ``__init__`` method, if directly defined."""
-    for stmt in classdef.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            return stmt
-    return None
-
-
 @register
 class CacheKeyRule(Rule):
     """Statically enforce canonical-cache-key completeness."""
@@ -125,30 +114,13 @@ class CacheKeyRule(Rule):
         if not isinstance(canonical, ast.FunctionDef):
             return
         spec = _spec_keys(canonical)
-        yield from self._check_surface(
-            canonical,
-            spec,
-            "SimRequest field",
-            self._class_fields(defs.get("SimRequest")),
-        )
-        execute = defs.get("execute_request")
-        if isinstance(execute, ast.FunctionDef):
+        for origin in ("SimRequest", "SessionConfig"):
             yield from self._check_surface(
                 canonical,
                 spec,
-                "execute_request parameter",
-                param_names(execute),
+                f"{origin} field",
+                self._class_fields(defs.get(origin)),
             )
-        session = defs.get("SimulationSession")
-        if isinstance(session, ast.ClassDef):
-            init = _init_of(session)
-            if init is not None:
-                yield from self._check_surface(
-                    canonical,
-                    spec,
-                    "SimulationSession knob",
-                    param_names(init),
-                )
 
     def _class_fields(self, node: ast.AST | None) -> list[str]:
         """Annotated fields of a class node (empty when absent)."""

@@ -33,10 +33,6 @@ from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 from repro.nn.training import Trainer, TrainingHistory, TraceRecorder
 from repro.nn.data import synthetic_images, SyntheticDataset
-from repro.nn.recurrent import LSTM, synthetic_sequences
-from repro.nn.attention import MultiHeadSelfAttention, MeanPool
-from repro.nn.quantize import PactQuantizer
-from repro.nn.prune import MagnitudePruner
 from repro.nn.sakr import sakr_accumulator_profile
 
 __all__ = [
@@ -51,17 +47,11 @@ __all__ = [
     "Dropout",
     "BatchNorm2d",
     "Sequential",
-    "LSTM",
-    "synthetic_sequences",
-    "MultiHeadSelfAttention",
-    "MeanPool",
     "SGD",
     "Trainer",
     "TrainingHistory",
     "TraceRecorder",
     "synthetic_images",
     "SyntheticDataset",
-    "PactQuantizer",
-    "MagnitudePruner",
     "sakr_accumulator_profile",
 ]

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backends import KERNEL_BACKENDS, resolve_backend
 from repro.encoding.booth import _LUT_PARTIAL_SIGNED16_FLAT, partial_csd_sum
 from repro.fp.bfloat16 import bf16_fields, bf16_quantize
 from repro.fp.softfloat import round_significand
@@ -56,27 +55,18 @@ class EngineConfig:
             out-of-bounds threshold in ``fpraker`` mode.
         chunk_size: MACs per chunk before flushing to fp32 (paper: 64).
         group: MACs per accumulation round (paper: 8, one PE group).
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry the
-            chunk-vectorized group loop runs through; bit-identical by
-            contract, so the knob never changes results.
     """
 
     mode: str = "fp32"
     acc_frac_bits: int = 12
     chunk_size: int = 64
     group: int = 8
-    kernel_backend: str = "numpy"
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {_MODES}")
         if self.chunk_size % self.group:
             raise ValueError("chunk_size must be a multiple of group")
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"unknown kernel backend {self.kernel_backend!r}; "
-                f"expected one of {KERNEL_BACKENDS}"
-            )
 
 
 class MatmulEngine:
@@ -279,8 +269,10 @@ class MatmulEngine:
                 -_PRODUCT_FRAC_BITS,
             )
         )
-        backend = resolve_backend(cfg.kernel_backend)
-        return backend.accumulate_chunks(
+        # Imported here: numpy_backend imports this module.
+        from repro.backends.numpy_backend import KERNELS
+
+        return KERNELS.accumulate_chunks(
             a_exp_r,
             b_exp_r,
             a_idx_r if fpraker else a_sgnman_r,

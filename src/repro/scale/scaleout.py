@@ -347,9 +347,6 @@ class ScaleOutSimulator:
             simulators (the baseline prices roofline either way).
         microbatches: pipeline micro-batch count (defaults to
             ``nodes``; other schemes ignore it).
-        kernel_backend: :data:`repro.backends.KERNEL_BACKENDS` entry
-            the node simulators' hot loops run through (bit-identical
-            by contract).
     """
 
     def __init__(
@@ -365,7 +362,6 @@ class ScaleOutSimulator:
         seed: int = 1234,
         memory_engine: str = "roofline",
         microbatches: int | None = None,
-        kernel_backend: str = "numpy",
     ) -> None:
         if nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -385,7 +381,6 @@ class ScaleOutSimulator:
         self.sample_steps = sample_steps
         self.seed = seed
         self.memory_engine = memory_engine
-        self.kernel_backend = kernel_backend
         self.microbatches = (
             int(microbatches) if microbatches is not None else self.nodes
         )
@@ -413,7 +408,6 @@ class ScaleOutSimulator:
             sample_steps=self.sample_steps,
             seed=self.seed,
             memory_engine=self.memory_engine,
-            kernel_backend=self.kernel_backend,
         )
 
     def simulate_workload(

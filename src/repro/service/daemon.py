@@ -120,14 +120,7 @@ class ServiceDaemon:
         loop = asyncio.get_running_loop()
         try:
             result = await loop.run_in_executor(
-                self._pool(),
-                execute_request,
-                request,
-                self.config.sample_strips,
-                self.config.sample_steps,
-                self.config.sim_seed,
-                self.config.memory_engine,
-                self.config.workload_cache_spec,
+                self._pool(), execute_request, request, self.config
             )
             self.stats.simulations += 1
             self.store.store(key, result)

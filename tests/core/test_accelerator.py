@@ -187,7 +187,7 @@ class TestAcceleratorSimulator:
         assert result.macs_of_phase("AxW") == 8_000_000
 
     def test_empty_workload_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty workload list"):
             AcceleratorSimulator().simulate_workload([])
 
     def test_energy_positive(self, rng):

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
-from repro.harness.runner import SimRequest, SimulationSession
+from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.memory.dram import DRAMModel
 from repro.memory.traffic import phase_traffic
 from repro.models.zoo import STUDIED_MODELS
@@ -92,12 +92,14 @@ class TestEngineValidation:
 
     def test_session_rejects_unknown_engine(self):
         with pytest.raises(ValueError):
-            SimulationSession(memory_engine="bogus")
+            SimulationSession(config=SessionConfig(memory_engine="bogus"))
 
     def test_engines_get_distinct_canonical_keys(self):
         request = SimRequest.make("NCF")
-        roof = SimulationSession(**QUICK)
-        hier = SimulationSession(**QUICK, memory_engine="hierarchy")
+        roof = SimulationSession(config=SessionConfig(**QUICK))
+        hier = SimulationSession(
+            config=SessionConfig(**QUICK, memory_engine="hierarchy")
+        )
         assert roof.key_of(request) != hier.key_of(request)
 
     def test_baseline_keys_shared_across_engines(self):
@@ -106,8 +108,10 @@ class TestEngineValidation:
         from repro.core.config import baseline_paper_config
 
         request = SimRequest.make("NCF", baseline_paper_config())
-        roof = SimulationSession(**QUICK)
-        hier = SimulationSession(**QUICK, memory_engine="hierarchy")
+        roof = SimulationSession(config=SessionConfig(**QUICK))
+        hier = SimulationSession(
+            config=SessionConfig(**QUICK, memory_engine="hierarchy")
+        )
         assert roof.key_of(request) == hier.key_of(request)
 
 
@@ -115,7 +119,9 @@ class TestSessionRoundTrip:
     @pytest.mark.parametrize("engine", ("roofline", "hierarchy"))
     def test_cached_results_round_trip_byte_identically(self, tmp_path, engine):
         session = SimulationSession(
-            cache_dir=tmp_path, memory_engine=engine, **QUICK
+            config=SessionConfig(
+                cache_dir=tmp_path, memory_engine=engine, **QUICK
+            )
         )
         result = session.simulate("NCF")
         key = session.key_of(SimRequest.make("NCF"))
@@ -123,7 +129,9 @@ class TestSessionRoundTrip:
         raw = path.read_bytes()
 
         fresh = SimulationSession(
-            cache_dir=tmp_path, memory_engine=engine, **QUICK
+            config=SessionConfig(
+                cache_dir=tmp_path, memory_engine=engine, **QUICK
+            )
         )
         again = fresh.simulate("NCF")
         assert fresh.stats.disk_hits == 1

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.experiments import run_fig12_energy, run_fig15_stalls
-from repro.harness.runner import SimulationSession
+from repro.harness.runner import SessionConfig, SimulationSession
 
 FIXTURE = Path(__file__).parent / "fixtures" / "fig15_golden.json"
 GOLDEN_MODELS = ("NCF", "SNLI")
@@ -38,7 +38,9 @@ class TestFig15Golden:
     def test_roofline_session_reproduces_golden_exactly(self):
         """An explicit roofline session matches the private-session path."""
         golden = json.loads(FIXTURE.read_text())
-        session = SimulationSession(memory_engine="roofline")
+        session = SimulationSession(
+            config=SessionConfig(memory_engine="roofline")
+        )
         table = run_fig15_stalls(models=GOLDEN_MODELS, session=session)
         assert table.to_dict() == golden
 

@@ -11,7 +11,12 @@ from repro.core.workload import PhaseWorkload
 from repro.fp.bfloat16 import bf16_quantize
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import run_fig11_speedup, run_fig14_phases
-from repro.harness.runner import SimRequest, SimulationSession, canonical_key
+from repro.harness.runner import (
+    SessionConfig,
+    SimRequest,
+    SimulationSession,
+    canonical_key,
+)
 
 # Reduced sampling keeps each cold simulation fast; every test builds
 # its sessions with the same parameters so results are comparable.
@@ -21,7 +26,7 @@ MODELS = ("NCF", "SNLI")
 
 
 def _quick_session(**overrides):
-    return SimulationSession(**{**QUICK, **overrides})
+    return SimulationSession(config=SessionConfig(**{**QUICK, **overrides}))
 
 
 def _simulated_result(seed=0):
@@ -143,7 +148,9 @@ class TestSessionMemoization:
         s1 = _quick_session(cache_dir=tmp_path)
         s1.simulate("NCF")
         other = SimulationSession(
-            cache_dir=tmp_path, sample_strips=3, sample_steps=8
+            config=SessionConfig(
+                cache_dir=tmp_path, sample_strips=3, sample_steps=8
+            )
         )
         other.simulate("NCF")
         assert other.stats.disk_hits == 0

@@ -1,4 +1,4 @@
-"""Tests for SessionConfig, the legacy-kwarg shim, and the api facade."""
+"""Tests for SessionConfig, the session constructor, and the api facade."""
 
 import json
 
@@ -117,7 +117,7 @@ class TestSessionConfigWireForm:
             SessionConfig.from_dict({"memory_engine": "dram"})
 
 
-class TestConstructorShim:
+class TestConstructor:
     def test_config_constructor_does_not_warn(self, recwarn):
         session = SimulationSession(config=QUICK)
         assert session.config == QUICK
@@ -131,40 +131,6 @@ class TestConstructorShim:
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"jobs": 2},
-            {"cache_dir": "somewhere"},
-            {"sample_strips": 2},
-            {"sample_steps": 8},
-            {"sim_seed": 7},
-            {"memory_engine": "hierarchy"},
-            {"workload_cache": False},
-        ],
-    )
-    def test_each_legacy_kwarg_warns_and_still_works(self, kwargs):
-        with pytest.warns(DeprecationWarning, match="SessionConfig"):
-            session = SimulationSession(**kwargs)
-        expected = SessionConfig(**kwargs)
-        assert session.config == expected
-
-    def test_legacy_positional_jobs_still_works(self):
-        with pytest.warns(DeprecationWarning):
-            session = SimulationSession(4)
-        assert session.config.jobs == 4
-
-    def test_config_plus_legacy_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="either"):
-            SimulationSession(config=QUICK, jobs=2)
-
-    def test_legacy_attributes_still_exposed(self):
-        session = SimulationSession(config=QUICK)
-        assert session.sample_strips == 2
-        assert session.sample_steps == 8
-        assert session.jobs == 1
-        assert session.memory_engine == "roofline"
 
 
 class TestApiFacade:

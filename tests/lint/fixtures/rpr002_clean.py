@@ -11,6 +11,14 @@ class SimRequest:
     nodes: int
 
 
+class SessionConfig:
+    """Miniature session config; ``jobs`` is plumbing, the rest is keyed."""
+
+    jobs: int
+    sample_strips: int
+    memory_engine: str
+
+
 def canonical_key(request, sample_strips):
     """Key builder covering request fields and its own parameters."""
     spec = {
@@ -21,8 +29,3 @@ def canonical_key(request, sample_strips):
         "memory_engine": "roofline",
     }
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
-
-
-def execute_request(request, sample_strips, memory_engine="roofline"):
-    """Simulator entry; all parameters are keyed above."""
-    return (request, sample_strips, memory_engine)

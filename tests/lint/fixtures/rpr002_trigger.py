@@ -11,6 +11,14 @@ class SimRequest:
     nodes: int
 
 
+class SessionConfig:
+    """Miniature session config whose knobs the key below ignores."""
+
+    jobs: int
+    sample_strips: int
+    memory_engine: str
+
+
 def canonical_key(request, sample_strips):
     """Key builder that drops ``nodes`` and its own ``sample_strips``."""
     spec = {
@@ -18,8 +26,3 @@ def canonical_key(request, sample_strips):
         "seed": request.seed,
     }
     return json.dumps(spec)
-
-
-def execute_request(request, sample_strips, memory_engine="roofline"):
-    """Simulator entry whose ``memory_engine`` the key above ignores."""
-    return (request, sample_strips, memory_engine)

@@ -2,17 +2,6 @@
 
 SCHEMES = ("data", "model", "pipeline")
 
-KERNEL_BACKENDS = ("numpy", "numba")
-
-
-def dispatch_kernels(kernel_backend: str):
-    """Validated backend knob with a single-branch gate."""
-    if kernel_backend not in ("numpy", "numba"):
-        raise ValueError(kernel_backend)
-    if kernel_backend == "numba":  # single-branch gate: exempt
-        return 1
-    return 0
-
 
 def simulate(strip_engine: str, memory_engine: str, partition: str):
     """Validated knobs, full chains, and one-value fallthroughs."""

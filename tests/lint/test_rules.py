@@ -14,7 +14,7 @@ CASES = [
     ("RPR001", "rpr001_trigger.py", "rpr001_clean.py", 4),
     ("RPR002", "rpr002_trigger.py", "rpr002_clean.py", 5),
     ("RPR003", "rpr003_trigger.py", "rpr003_clean.py", 5),
-    ("RPR004", "rpr004_trigger.py", "rpr004_clean.py", 8),
+    ("RPR004", "rpr004_trigger.py", "rpr004_clean.py", 5),
     ("RPR005", "rpr005_trigger.py", "rpr005_clean.py", 4),
     ("RPR006", "rpr006/trigger", "rpr006/clean", 4),
     ("RPR007", "rpr007/trigger", "rpr007/clean", 4),

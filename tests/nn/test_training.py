@@ -8,12 +8,6 @@ from repro.nn.fpmath import EngineConfig, MatmulEngine
 from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
-from repro.nn.prune import MagnitudePruner, prune_by_magnitude
-from repro.nn.quantize import (
-    PactQuantizer,
-    pact_quantize_activations,
-    quantize_weights_symmetric,
-)
 from repro.nn.sakr import sakr_accumulator_bits, sakr_accumulator_profile
 from repro.nn.training import TraceRecorder, Trainer
 
@@ -125,64 +119,6 @@ class TestTrainer:
         seen = []
         trainer.fit(data, epochs=2, hooks=[lambda e, n: seen.append(e)])
         assert seen == [0, 1]
-
-
-class TestPact:
-    def test_activation_grid(self):
-        x = np.linspace(-1, 3, 100)
-        q = pact_quantize_activations(x, alpha=2.0, bits=2)
-        grid = np.array([0.0, 2 / 3, 4 / 3, 2.0])
-        assert all(np.isclose(grid, v).any() for v in np.unique(q))
-
-    def test_weight_symmetric(self, rng):
-        w = rng.normal(0, 1, 1000)
-        q = quantize_weights_symmetric(w, bits=4)
-        assert np.unique(q).size <= 15
-        assert np.abs(q).max() <= np.abs(w).max() + 1e-12
-
-    def test_zero_weights(self):
-        w = np.zeros(10)
-        assert np.array_equal(quantize_weights_symmetric(w, 4), w)
-
-    def test_quantizer_hook_reduces_terms(self, rng):
-        from repro.encoding.booth import term_count
-        from repro.fp.bfloat16 import bf16_quantize
-
-        net = _mlp(MatmulEngine(), rng, classes=2)
-        before = term_count(bf16_quantize(net.layers[1].weight)).mean()
-        PactQuantizer(bits=4)(0, net)
-        after = term_count(bf16_quantize(net.layers[1].weight)).mean()
-        assert after < before
-
-    def test_start_epoch_respected(self, rng):
-        net = _mlp(MatmulEngine(), rng, classes=2)
-        original = net.layers[1].weight.copy()
-        PactQuantizer(bits=4, start_epoch=5)(0, net)
-        assert np.array_equal(net.layers[1].weight, original)
-
-
-class TestPruning:
-    def test_prune_by_magnitude(self, rng):
-        w = rng.normal(0, 1, 1000)
-        keep = prune_by_magnitude(w, 0.5)
-        assert keep.mean() == pytest.approx(0.5, abs=0.02)
-        assert np.abs(w[keep]).min() >= np.abs(w[~keep]).max()
-
-    def test_sparsity_validation(self, rng):
-        with pytest.raises(ValueError):
-            prune_by_magnitude(rng.normal(0, 1, 10), 1.0)
-
-    def test_pruner_maintains_sparsity(self, rng):
-        net = _mlp(MatmulEngine(), rng, classes=2)
-        pruner = MagnitudePruner(sparsity=0.5, regrow_fraction=0.0)
-        pruner(0, net)
-        assert pruner.measured_sparsity(net) == pytest.approx(0.5, abs=0.02)
-
-    def test_regrow_releases_some(self, rng):
-        net = _mlp(MatmulEngine(), rng, classes=2)
-        pruner = MagnitudePruner(sparsity=0.8, regrow_fraction=0.2)
-        pruner(0, net)
-        assert pruner.measured_sparsity(net) < 0.8
 
 
 class TestSakr:

@@ -1,12 +1,17 @@
 """Scale-out requests through the session: keys, memo, and disk cache."""
 
-import pytest
+from dataclasses import replace
 
 from repro.harness.cache import CACHE_VERSION, ResultCache
-from repro.harness.runner import SimRequest, SimulationSession, canonical_key
+from repro.harness.runner import (
+    SessionConfig,
+    SimRequest,
+    SimulationSession,
+    canonical_key,
+)
 from repro.scale.scaleout import ScaleOutResult
 
-FAST = dict(sample_strips=2, sample_steps=8)
+FAST = SessionConfig(sample_strips=2, sample_steps=8)
 
 
 def _key(request):
@@ -33,7 +38,7 @@ class TestCanonicalKeys:
 
 class TestSessionScaleout:
     def test_n1_shares_memo_with_plain_simulate(self):
-        session = SimulationSession(**FAST)
+        session = SimulationSession(config=FAST)
         plain = session.simulate("NCF")
         assert session.stats.simulations == 1
         anchor = session.scaleout("NCF", 1, "pipeline")
@@ -41,13 +46,13 @@ class TestSessionScaleout:
         assert anchor is plain
 
     def test_multi_node_returns_scaleout_result(self):
-        session = SimulationSession(**FAST)
+        session = SimulationSession(config=FAST)
         result = session.scaleout("NCF", 2, "data")
         assert isinstance(result, ScaleOutResult)
         assert result.nodes == 2 and result.scheme == "data"
 
     def test_memoized_per_scheme(self):
-        session = SimulationSession(**FAST)
+        session = SimulationSession(config=FAST)
         first = session.scaleout("NCF", 2, "data")
         again = session.scaleout("NCF", 2, "data")
         other = session.scaleout("NCF", 2, "model")
@@ -56,7 +61,7 @@ class TestSessionScaleout:
         assert session.stats.simulations == 2
 
     def test_prefetch_covers_scaleout_requests(self):
-        session = SimulationSession(**FAST)
+        session = SimulationSession(config=FAST)
         session.prefetch(
             [
                 SimRequest.make("NCF", nodes=n, partition="data")
@@ -70,9 +75,9 @@ class TestSessionScaleout:
 
 class TestDiskCache:
     def test_scaleout_round_trip(self, tmp_path):
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = SimulationSession(config=replace(FAST, cache_dir=tmp_path))
         cold = session.scaleout("NCF", 4, "pipeline")
-        warm_session = SimulationSession(cache_dir=tmp_path, **FAST)
+        warm_session = SimulationSession(config=replace(FAST, cache_dir=tmp_path))
         warm = warm_session.scaleout("NCF", 4, "pipeline")
         assert warm_session.stats.disk_hits == 1
         assert warm_session.stats.simulations == 0
@@ -83,7 +88,7 @@ class TestDiskCache:
         import json
 
         cache = ResultCache(tmp_path)
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = SimulationSession(config=replace(FAST, cache_dir=tmp_path))
         request = SimRequest.make("NCF", nodes=2, partition="data")
         session.prefetch([request])
         key = session.key_of(request)
@@ -97,7 +102,7 @@ class TestDiskCache:
         import json
 
         cache = ResultCache(tmp_path)
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = SimulationSession(config=replace(FAST, cache_dir=tmp_path))
         request = SimRequest.make("NCF")
         session.prefetch([request])
         payload = json.loads(
@@ -106,7 +111,7 @@ class TestDiskCache:
         assert payload["kind"] == "workload"
 
     def test_version_mismatch_is_miss(self, tmp_path, monkeypatch):
-        session = SimulationSession(cache_dir=tmp_path, **FAST)
+        session = SimulationSession(config=replace(FAST, cache_dir=tmp_path))
         request = SimRequest.make("NCF", nodes=2, partition="data")
         session.prefetch([request])
         monkeypatch.setattr("repro.harness.cache.CACHE_VERSION", 999)
@@ -119,9 +124,9 @@ class TestParallelFanOut:
             SimRequest.make("NCF", nodes=n, partition=p)
             for n, p in ((2, "data"), (2, "model"), (4, "pipeline"))
         ]
-        serial = SimulationSession(**FAST)
+        serial = SimulationSession(config=FAST)
         serial.prefetch(requests)
-        parallel = SimulationSession(jobs=2, **FAST)
+        parallel = SimulationSession(config=replace(FAST, jobs=2))
         parallel.prefetch(requests)
         for request in requests:
             a = serial._memo[serial.key_of(request)]

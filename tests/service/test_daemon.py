@@ -79,6 +79,24 @@ class TestSimulate:
         )
         assert json.dumps(remote.to_dict()) == json.dumps(local.to_dict())
 
+    def test_daemon_honours_every_result_field(self, tmp_path):
+        """The FPRaker simulation (unlike the analytic baseline) reads
+        every sampling and memory field: a daemon must answer exactly
+        as an in-process session under its own config."""
+        config = SessionConfig(
+            sample_strips=2,
+            sample_steps=8,
+            sim_seed=7,
+            memory_engine="hierarchy",
+        )
+        with ResultStore(tmp_path / "store") as store:
+            with background_daemon(config, store) as (url, _thread):
+                remote = json.dumps(ServiceClient(url).simulate("NCF").to_dict())
+        local = SimulationSession(config=config).simulate("NCF")
+        quick = SimulationSession(config=QUICK).simulate("NCF")
+        assert remote == json.dumps(local.to_dict())
+        assert remote != json.dumps(quick.to_dict())
+
     def test_wait_false_goes_pending_then_lands(self, service):
         client, store = service
         status, result = client.submit("SNLI", wait=False)
