@@ -1,8 +1,6 @@
-"""Benchmark helpers: run each experiment once and print its table."""
+"""Benchmark helpers: print each experiment's table and paper anchor."""
 
 import pathlib
-
-import pytest
 
 RESULTS_FILE = pathlib.Path(__file__).parent / "results" / "latest.txt"
 
@@ -10,30 +8,13 @@ RESULTS_FILE = pathlib.Path(__file__).parent / "results" / "latest.txt"
 _shown = False
 
 
-def run_once(benchmark, func, *args, **kwargs):
-    """Execute an experiment exactly once under the benchmark timer.
-
-    The experiments are deterministic and minutes-scale, so one round is
-    both sufficient and necessary.
-
-    Args:
-        benchmark: the pytest-benchmark fixture.
-        func: experiment entry point.
-        *args: forwarded.
-        **kwargs: forwarded.
-
-    Returns:
-        The experiment's return value.
-    """
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 def show(result, paper_note: str) -> None:
     """Print an experiment table (or tuple of tables) plus the paper anchor.
 
-    The rendered tables also go to ``benchmarks/results/latest.txt`` so
-    the regenerated figures survive pytest's output capture: the first
-    call of a session rewrites the file, later calls append to it.
+    The rendered tables also go to ``benchmarks/results/latest.txt``
+    (untracked) so the regenerated figures survive pytest's output
+    capture: the first call of a session rewrites the file, later calls
+    append to it.
     """
     global _shown
     tables = result if isinstance(result, tuple) else (result,)

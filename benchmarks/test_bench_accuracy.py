@@ -2,13 +2,13 @@
 
 import numpy as np
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig17_accuracy
 
 
-def test_fig17_training_accuracy(benchmark):
-    table = run_once(benchmark, run_fig17_accuracy, epochs=12)
+def test_fig17_training_accuracy():
+    table = run_fig17_accuracy(epochs=12)
     show(
         table,
         "Fig 17: the FPRaker-emulated curve converges with the bf16 "

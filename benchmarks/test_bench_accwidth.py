@@ -1,12 +1,12 @@
 """Fig 21: per-layer profiled accumulator widths (Sakr et al.)."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig21_accwidth
 
 
-def test_fig21_profiled_accumulator_width(benchmark):
-    table = run_once(benchmark, run_fig21_accwidth)
+def test_fig21_profiled_accumulator_width():
+    table = run_fig21_accwidth()
     show(
         table,
         "Fig 21: per-layer profiled accumulator widths raise ResNet18's "

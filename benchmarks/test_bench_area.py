@@ -1,12 +1,12 @@
 """Table III: per-tile area/power and the iso-compute-area tile counts."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_table3
 
 
-def test_table3_area_power(benchmark):
-    table = run_once(benchmark, run_table3)
+def test_table3_area_power():
+    table = run_table3()
     show(
         table,
         "Table III: FPRaker tile 317,068 um^2 (0.22x of baseline's "

@@ -1,12 +1,12 @@
 """Fig 10: memory savings from exponent base-delta compression."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig10_compression
 
 
-def test_fig10_exponent_compression(benchmark):
-    table = run_once(benchmark, run_fig10_compression)
+def test_fig10_exponent_compression():
+    table = run_fig10_compression()
     show(
         table,
         "Fig 10: base-delta compression shrinks the exponent footprint "

@@ -1,12 +1,12 @@
 """Fig 12: the energy-consumption breakdown."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig12_energy
 
 
-def test_fig12_energy_breakdown(benchmark):
-    table = run_once(benchmark, run_fig12_energy)
+def test_fig12_energy_breakdown():
+    table = run_fig12_energy()
     show(
         table,
         "Fig 12: FPRaker plus BDC cut core-logic and off-chip energy; "

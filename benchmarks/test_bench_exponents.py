@@ -1,12 +1,12 @@
 """Fig 6: exponent ranges over real training (captured traces)."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig6_exponents
 
 
-def test_fig6_exponent_ranges(benchmark):
-    table = run_once(benchmark, run_fig6_exponents, epochs=6)
+def test_fig6_exponent_ranges():
+    table = run_fig6_exponents(epochs=6)
     show(
         table,
         "Fig 6: the exponents of all three tensors occupy a narrow band "

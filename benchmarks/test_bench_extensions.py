@@ -1,6 +1,6 @@
 """Extensions: the paper's stated future work, implemented and measured."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness.extensions import (
     run_inference_extension,
@@ -8,8 +8,8 @@ from repro.harness.extensions import (
 )
 
 
-def test_precision_scheduled_training(benchmark):
-    table = run_once(benchmark, run_precision_schedule)
+def test_precision_scheduled_training():
+    table = run_precision_schedule()
     show(
         table,
         "Paper conclusion: 'training can start with lower precision and "
@@ -24,8 +24,8 @@ def test_precision_scheduled_training(benchmark):
     assert table.rows[0][2] > table.rows[-2][2]
 
 
-def test_inference_use(benchmark):
-    table = run_once(benchmark, run_inference_extension)
+def test_inference_use():
+    table = run_inference_extension()
     show(
         table,
         "Paper conclusion: 'While we evaluated FPRaker for training, it "

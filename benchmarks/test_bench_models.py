@@ -1,18 +1,18 @@
 """Tables I and II: the studied models and the evaluated configurations."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_table1, run_table2
 
 
-def test_table1_models(benchmark):
-    table = run_once(benchmark, run_table1)
+def test_table1_models():
+    table = run_table1()
     show(table, "Table I lists the same nine models / applications / datasets.")
     assert len(table.rows) == 9
 
 
-def test_table2_configurations(benchmark):
-    table = run_once(benchmark, run_table2)
+def test_table2_configurations():
+    table = run_table2()
     show(
         table,
         "Table II: FPRaker 36 tiles / 2304 PEs vs baseline 8 tiles / "

@@ -1,12 +1,12 @@
 """Fig 18: speedup across the training process."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig18_over_time
 
 
-def test_fig18_speedup_over_time(benchmark):
-    table = run_once(benchmark, run_fig18_over_time)
+def test_fig18_speedup_over_time():
+    table = run_fig18_over_time()
     show(
         table,
         "Fig 18: VGG16 declines ~15% after the first third and "

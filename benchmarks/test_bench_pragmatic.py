@@ -1,12 +1,12 @@
 """Section I's negative result: bfloat16 Bit-Pragmatic at iso area."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_pragmatic_comparison
 
 
-def test_pragmatic_fp_comparison(benchmark):
-    table = run_once(benchmark, run_pragmatic_comparison)
+def test_pragmatic_fp_comparison():
+    table = run_pragmatic_comparison()
     show(
         table,
         "Section I: the bfloat16 Bit-Pragmatic configuration is on "

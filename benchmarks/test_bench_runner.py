@@ -1,12 +1,12 @@
 """The simulation session: cold vs warm-cache regeneration of Fig 11.
 
 A cold session simulates every (model, config) pair of the figure; a
-warm session answers the same figure entirely from its memo, so the
-warm benchmark time is pure table assembly.  The two tables must be
-identical -- the cache changes cost, never results.
+warm session answers the same figure entirely from its memo, with no
+new simulation.  The two tables must be identical -- the cache changes
+cost, never results.
 """
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig11_speedup
 from repro.harness.runner import SimulationSession
@@ -14,11 +14,9 @@ from repro.harness.runner import SimulationSession
 MODELS = ("NCF", "SNLI")
 
 
-def test_fig11_cold_session(benchmark):
+def test_fig11_cold_session():
     session = SimulationSession()
-    table = run_once(
-        benchmark, run_fig11_speedup, models=MODELS, session=session
-    )
+    table = run_fig11_speedup(models=MODELS, session=session)
     show(
         table,
         "Runner: cold session simulates 4 configs x 2 models exactly once "
@@ -28,13 +26,11 @@ def test_fig11_cold_session(benchmark):
     assert session.unique_simulations == len(MODELS) * 4
 
 
-def test_fig11_warm_session(benchmark):
+def test_fig11_warm_session():
     session = SimulationSession()
     cold = run_fig11_speedup(models=MODELS, session=session)
     simulations_after_cold = session.stats.simulations
-    table = run_once(
-        benchmark, run_fig11_speedup, models=MODELS, session=session
-    )
+    table = run_fig11_speedup(models=MODELS, session=session)
     show(
         table,
         "Runner: warm session regenerates Fig 11 with zero new "

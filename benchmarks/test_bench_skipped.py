@@ -1,12 +1,12 @@
 """Fig 13: the breakdown of skipped terms (zero vs out-of-bounds)."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig13_skipped
 
 
-def test_fig13_skipped_terms(benchmark):
-    table = run_once(benchmark, run_fig13_skipped)
+def test_fig13_skipped_terms():
+    table = run_fig13_skipped()
     show(
         table,
         "Fig 13: zero terms dominate the skipped work everywhere; "

@@ -1,12 +1,12 @@
 """Figs 1 and 2: value/term sparsity and the ideal speedup potential."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig1_sparsity, run_fig2_potential
 
 
-def test_fig1_value_and_term_sparsity(benchmark):
-    table = run_once(benchmark, run_fig1_sparsity)
+def test_fig1_value_and_term_sparsity():
+    table = run_fig1_sparsity()
     show(
         table,
         "Fig 1: image classifiers' activations exceed 35% value sparsity "
@@ -27,8 +27,8 @@ def test_fig1_value_and_term_sparsity(benchmark):
             assert value["W"] < 0.1
 
 
-def test_fig2_potential_speedup(benchmark):
-    table = run_once(benchmark, run_fig2_potential)
+def test_fig2_potential_speedup():
+    table = run_fig2_potential()
     show(
         table,
         "Fig 2: potential up to ~59x for NCF's gradient phases; several "

@@ -1,12 +1,12 @@
 """Figs 11 and 14: the headline iso-area speedups and per-phase breakdown."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig11_speedup, run_fig14_phases
 
 
-def test_fig11_iso_area_speedup(benchmark):
-    table = run_once(benchmark, run_fig11_speedup)
+def test_fig11_iso_area_speedup():
+    table = run_fig11_speedup()
     show(
         table,
         "Fig 11: geomean 1.5x total speedup (zero terms +9%, BDC +5.8%, "
@@ -29,8 +29,8 @@ def test_fig11_iso_area_speedup(benchmark):
     assert 1.5 <= by_model["SNLI"][3] <= 2.1
 
 
-def test_fig14_phase_speedups(benchmark):
-    table = run_once(benchmark, run_fig14_phases)
+def test_fig14_phase_speedups():
+    table = run_fig14_phases()
     show(
         table,
         "Fig 14: FPRaker outperforms the baseline on all three phases "

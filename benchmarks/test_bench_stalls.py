@@ -1,12 +1,12 @@
 """Figs 15 and 16: lane-cycle breakdown and the OBS synchronization effect."""
 
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig15_stalls, run_fig16_obs_sync
 
 
-def test_fig15_lane_efficiency(benchmark):
-    table = run_once(benchmark, run_fig15_stalls)
+def test_fig15_lane_efficiency():
+    table = run_fig15_stalls()
     show(
         table,
         "Fig 15: cross-lane term imbalance ('no term') is the largest "
@@ -22,8 +22,8 @@ def test_fig15_lane_efficiency(benchmark):
     assert by_model["NCF"][2] > 0.35  # NCF's imbalance is the worst
 
 
-def test_fig16_obs_reduces_sync(benchmark):
-    table = run_once(benchmark, run_fig16_obs_sync)
+def test_fig16_obs_reduces_sync():
+    table = run_fig16_obs_sync()
     show(
         table,
         "Fig 16: skipping out-of-bounds terms reduces the total "

@@ -1,15 +1,13 @@
 """Figs 19 and 20: the effect of tile row count on performance and stalls."""
 
-import numpy as np
-
-from conftest import run_once, show
+from conftest import show
 
 from repro.harness import run_fig19_20_rows
 from repro.harness.report import geomean
 
 
-def test_fig19_20_rows_per_tile(benchmark):
-    speed_table, stall_table = run_once(benchmark, run_fig19_20_rows)
+def test_fig19_20_rows_per_tile():
+    speed_table, stall_table = run_fig19_20_rows()
     show(
         (speed_table, stall_table),
         "Fig 19/20: growing rows per tile couples more PEs to the same "

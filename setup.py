@@ -10,13 +10,12 @@ setup(
     install_requires=["numpy>=1.24"],
     extras_require={
         # Everything CI needs on top of the runtime deps: the test
-        # runner, the property-test engine, the benchmark timer, and
-        # the coverage gate.  `pip install -e .[dev]` is the single
-        # supported dev setup -- keep CI pointed here instead of
-        # hand-listing packages in the workflow.
+        # runner, the property-test engine, and the coverage gate.
+        # `pip install -e .[dev]` is the single supported dev setup --
+        # keep CI pointed here instead of hand-listing packages in the
+        # workflow.
         "dev": [
             "pytest",
-            "pytest-benchmark",
             "pytest-cov",
             "hypothesis",
         ],

@@ -183,27 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    profiler = sub.add_parser(
-        "profile",
-        help="emit a per-stage pipeline timing breakdown as JSON",
-    )
-    profiler.add_argument(
-        "--model",
-        default="NCF",
-        help="Table-I model to profile (default: NCF)",
-    )
-    profiler.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="wall-clock measurements per stage, best kept (default: 2)",
-    )
-    profiler.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help="also write the JSON document to DIR/profile.json",
-    )
     configure_lint_parser(sub)
     session_flags = _session_flags()
     runner = sub.add_parser(
@@ -332,29 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         return run_lint(args)
     if args.command == "serve":
         return _serve(args)
-    if args.command == "profile":
-        from repro.harness.profiling import profile_pipeline, render_profile
-
-        unknown = _validate_models([args.model])
-        if unknown:
-            print(
-                "unknown model(s): " + ", ".join(repr(m) for m in unknown)
-                + "\nknown models: " + ", ".join(sorted(MODEL_ZOO)),
-                file=sys.stderr,
-            )
-            return 2
-        document = render_profile(
-            profile_pipeline(model=args.model, repeats=args.repeats)
-        )
-        if args.out is not None:
-            out_dir = Path(args.out)
-            if out_dir.exists() and not out_dir.is_dir():
-                print(f"--out {args.out!r} is not a directory", file=sys.stderr)
-                return 2
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "profile.json").write_text(document + "\n")
-        print(document)
-        return 0
     unknown = _validate_models(args.models)
     if unknown:
         print(

@@ -351,21 +351,6 @@ class AcceleratorSimulator:
         sample_steps: reduction groups per strip (capped by the layer's
             actual reduction length).
         seed: RNG seed for operand sampling (results are deterministic).
-        strip_engine: ``"batched"`` simulates all sampled strips in one
-            :meth:`TileSimulator.simulate_strips` pass; ``"serial"``
-            runs the per-strip reference loop.  Both consume the same
-            operand draw and produce bit-identical results (cross-checked
-            in the test suite).
-        phase_stacking: when the batched engine is active,
-            :meth:`simulate_workload` concatenates the strip stacks of
-            every phase sharing a tile geometry and step count into one
-            multi-phase :meth:`TileSimulator.simulate_strips` call
-            (memory-bounded via :data:`_MAX_STACK_ROWS`), paying the
-            numpy dispatch and schedule-loop overhead once per stack
-            instead of once per phase.  Strips are independent, so the
-            per-phase results are bit-identical to the unstacked path
-            (cross-checked in the test suite); ``False`` keeps the
-            one-call-per-phase behaviour.
         memory_engine: ``"roofline"`` (the reference) prices off-chip
             traffic as flat bytes-over-bandwidth; ``"hierarchy"`` runs
             the event-level traffic engine
@@ -391,12 +376,8 @@ class AcceleratorSimulator:
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
-        strip_engine: str = "batched",
-        phase_stacking: bool = True,
         memory_engine: str = "roofline",
     ) -> None:
-        if strip_engine not in ("batched", "serial"):
-            raise ValueError(f"unknown strip engine {strip_engine!r}")
         if memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {memory_engine!r}")
         self.config = config if config is not None else fpraker_paper_config()
@@ -405,8 +386,6 @@ class AcceleratorSimulator:
         self.sample_strips = sample_strips
         self.sample_steps = sample_steps
         self.seed = seed
-        self.strip_engine = strip_engine
-        self.phase_stacking = phase_stacking
         self.memory_engine = memory_engine
 
     def _prepare_phase(self, workload: PhaseWorkload) -> _PhasePrep:
@@ -493,29 +472,15 @@ class AcceleratorSimulator:
             The scaled :class:`LayerPhaseResult`.
         """
         prep = self._prepare_phase(workload)
-        simulator = TileSimulator(prep.tile_cfg)
-        if self.strip_engine == "serial":
-            # Reference path: one strip at a time, identical operands.
-            sampled = SimCounters()
-            total_steps = 0
-            total_makespan = 0
-            for i in range(prep.strips):
-                result = simulator.simulate_strip(
-                    prep.a_stack[i],
-                    prep.b_stack[i],
-                    None if prep.initial_sums is None else prep.initial_sums[i],
-                )
-                sampled.add(result.counters)
-                total_steps += result.steps
-                total_makespan += result.makespan
-        else:
-            batch = simulator.simulate_strips(
-                prep.a_stack, prep.b_stack, prep.initial_sums
-            )
-            sampled = batch.counters_total()
-            total_steps = batch.steps * batch.strips
-            total_makespan = batch.makespan
-        return self._finish_phase(prep, sampled, total_steps, total_makespan)
+        batch = TileSimulator(prep.tile_cfg).simulate_strips(
+            prep.a_stack, prep.b_stack, prep.initial_sums
+        )
+        return self._finish_phase(
+            prep,
+            batch.counters_total(),
+            batch.steps * batch.strips,
+            batch.makespan,
+        )
 
     def _finish_phase(
         self,
@@ -580,10 +545,12 @@ class AcceleratorSimulator:
     ) -> WorkloadResult:
         """Simulate a full list of layer-phases.
 
-        Under the batched engine with ``phase_stacking`` (the default),
-        phases sharing a tile geometry and step count run as one
-        multi-phase strip stack -- bit-identical to simulating each
-        phase alone, since strips are independent.
+        Phases sharing a tile geometry and step count run as one
+        multi-phase :meth:`TileSimulator.simulate_strips` stack (chunked
+        by :data:`_MAX_STACK_ROWS`), paying the numpy dispatch and
+        schedule-loop overhead once per stack instead of once per phase
+        -- bit-identical to :meth:`simulate_phase` on each phase, since
+        strips are independent.
 
         Args:
             workloads: layer-phases of one model's training step.
@@ -599,10 +566,6 @@ class AcceleratorSimulator:
             name=self.config.name,
             model=model or workloads[0].model,
         )
-        if self.strip_engine != "batched" or not self.phase_stacking:
-            for workload in workloads:
-                result.phases.append(self.simulate_phase(workload))
-            return result
         preps = [self._prepare_phase(workload) for workload in workloads]
         # Group phase indices by (tile geometry, steps): stacks must
         # agree on every strip dimension.  TileConfig is frozen, hence

@@ -42,10 +42,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
         seed: RNG seed.
-        strip_engine: ``"batched"`` (default) or the ``"serial"``
-            reference loop.
-        phase_stacking: stack same-geometry phases into one batched
-            tile pass (default; bit-identical to per-phase calls).
         memory_engine: ``"roofline"`` (default) or the event-level
             ``"hierarchy"`` traffic engine.
     """
@@ -58,8 +54,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
-        strip_engine: str = "batched",
-        phase_stacking: bool = True,
         memory_engine: str = "roofline",
     ) -> None:
         super().__init__(
@@ -69,8 +63,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
             sample_strips=sample_strips,
             sample_steps=sample_steps,
             seed=seed,
-            strip_engine=strip_engine,
-            phase_stacking=phase_stacking,
             memory_engine=memory_engine,
         )
 

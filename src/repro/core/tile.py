@@ -21,7 +21,8 @@ can scale them to full layers.
 Two engines produce those results:
 
 * :meth:`TileSimulator.simulate_strip` -- the original single-strip
-  reference, operating on ``[col, step]`` arrays;
+  reference, operating on ``[col, step]`` arrays; only the test suite
+  calls it;
 * :meth:`TileSimulator.simulate_strips` -- the batched engine, operating
   on ``[strip, col, step]`` stacks so one numpy pass covers every
   sampled strip of a layer-phase.  It is required to be bit-identical to

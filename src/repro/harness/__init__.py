@@ -3,8 +3,8 @@
 Each ``run_*`` function regenerates one artifact of the paper's
 evaluation and returns both structured results and a printable
 :class:`repro.harness.report.Table`.  The benchmarks under
-``benchmarks/`` are thin wrappers around these functions; the
-EXPERIMENTS.md file records paper-vs-measured for each.
+``benchmarks/`` are thin wrappers around these functions that check
+each artifact against the paper's claim.
 """
 
 from repro.harness.report import Table, geomean

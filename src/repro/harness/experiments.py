@@ -43,7 +43,7 @@ from repro.nn.optim import SGD
 from repro.nn.sakr import sakr_accumulator_profile
 from repro.nn.training import Trainer
 from repro.harness.report import Table, geomean
-from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
+from repro.harness.runner import SimRequest, SimulationSession
 from repro.traces.calibration import get_calibration
 from repro.traces.capture import capture_training_traces
 from repro.traces.synthetic import generate_tensor
@@ -73,7 +73,6 @@ def _session_for(
     progress: float | tuple[float, ...] = 0.5,
     seed: int = 0,
     with_baseline: bool = True,
-    memory_engine: str = "roofline",
 ) -> SimulationSession:
     """Resolve the session and prefetch a models x configs sweep.
 
@@ -84,17 +83,13 @@ def _session_for(
         progress: one or several training-progress points.
         seed: workload RNG seed.
         with_baseline: also request the bit-parallel baseline.
-        memory_engine: engine for a private session (a caller-provided
-            session keeps its own engine).
 
     Returns:
         The session, with every request already simulated (in parallel
         when the session runs multiple jobs).
     """
     if session is None:
-        session = SimulationSession(
-            config=SessionConfig(memory_engine=memory_engine)
-        )
+        session = SimulationSession()
     points = progress if isinstance(progress, tuple) else (progress,)
     sweep = list(configs) + ([baseline_paper_config()] if with_baseline else [])
     session.prefetch(
@@ -323,20 +318,17 @@ def run_fig12_energy(
     progress: float = 0.5,
     seed: int = 0,
     session: SimulationSession | None = None,
-    memory_engine: str = "roofline",
 ) -> Table:
     """Fig 12: energy breakdown (core compute/control/accum, on/off-chip).
 
-    Under ``memory_engine="hierarchy"`` (or a hierarchy session) the
-    table gains a "Scratchpad" column: the share of total energy spent
-    staging operands through the per-tile scratchpads, which only the
-    event-level traffic engine tracks.  The scratchpad share is carved
+    Under a session whose ``config.memory_engine`` is ``"hierarchy"``
+    the table gains a "Scratchpad" column: the share of total energy
+    spent staging operands through the per-tile scratchpads, which only
+    the event-level traffic engine tracks.  The scratchpad share is carved
     *out of* the on-chip share (the simulator folds it into
     ``on_chip``), so the fraction columns still partition the total.
     """
-    session = _session_for(
-        session, models, (None,), progress, seed, memory_engine=memory_engine
-    )
+    session = _session_for(session, models, (None,), progress, seed)
     hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "Compute", "Control", "Accumulation", "On-chip",
                "Off-chip", "Total vs baseline"]
@@ -443,25 +435,18 @@ def run_fig15_stalls(
     progress: float = 0.5,
     seed: int = 0,
     session: SimulationSession | None = None,
-    memory_engine: str = "roofline",
 ) -> Table:
     """Fig 15: lane-cycle breakdown (useful and the four stall kinds).
 
-    Under ``memory_engine="hierarchy"`` (or a hierarchy session) two
-    memory-side stall columns are appended: "bank stall" (global-buffer
-    bank-conflict cycles) and "transposer" (8x8 transposer occupancy),
-    both as fractions of the model's total cycles.  The default
-    roofline table is byte-identical to the seed behavior (pinned by
-    the golden-fixture regression test).
+    Under a session whose ``config.memory_engine`` is ``"hierarchy"``
+    two memory-side stall columns are appended: "bank stall"
+    (global-buffer bank-conflict cycles) and "transposer" (8x8
+    transposer occupancy), both as fractions of the model's total
+    cycles.  The default roofline table is byte-identical to the seed
+    behavior (pinned by the golden-fixture regression test).
     """
     session = _session_for(
-        session,
-        models,
-        (None,),
-        progress,
-        seed,
-        with_baseline=False,
-        memory_engine=memory_engine,
+        session, models, (None,), progress, seed, with_baseline=False
     )
     hierarchy = session.config.memory_engine == "hierarchy"
     headers = ["Model", "useful", "no term", "shift range", "inter-PE",

@@ -28,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
-from repro.core.baseline import BaselineAccelerator
+from repro.core import simulator_for
+from repro.core.accelerator import WorkloadResult
 from repro.core.config import (
     AcceleratorConfig,
     accelerator_config_from_dict,
@@ -37,7 +37,6 @@ from repro.core.config import (
     fpraker_paper_config,
     pragmatic_paper_config,
 )
-from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.harness.cache import ResultCache
 from repro.traces.workloads import build_workloads
 
@@ -355,21 +354,13 @@ def execute_request(
             memory_engine=config.memory_engine,
         )
         return simulator.simulate_workload(workloads, model=request.model)
-    if accelerator.name == "baseline":
-        return BaselineAccelerator(accelerator).simulate_workload(workloads)
-    simulator_cls = (
-        PragmaticFPAccelerator
-        if accelerator.name == "pragmatic-fp"
-        else AcceleratorSimulator
-    )
-    simulator = simulator_cls(
+    return simulator_for(
         accelerator,
         sample_strips=config.sample_strips,
         sample_steps=config.sample_steps,
         seed=config.sim_seed,
         memory_engine=config.memory_engine,
-    )
-    return simulator.simulate_workload(workloads)
+    ).simulate_workload(workloads)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
 """RPR004: engine/scheme dispatch must cover the registered value set.
 
-The simulators dispatch on small string knobs: ``strip_engine``
-(``batched``/``serial``), ``memory_engine`` (``roofline``/
-``hierarchy``) and the scale-out partition scheme (``data``/``model``/
-``pipeline``).  The registered sets below are the single source of
+The simulators dispatch on small string knobs: ``memory_engine``
+(``roofline``/``hierarchy``) and the scale-out partition scheme
+(``data``/``model``/``pipeline``).  The registered sets below are the single source of
 truth; the rule pins every static appearance of a knob to them:
 
 * an equality/inequality comparison against a literal not in the set is
@@ -31,7 +30,6 @@ from repro.lint.registry import Rule, register
 # register here first, and the lint run enumerates the dispatch sites
 # that still need extending.
 KNOBS: dict[str, tuple[str, ...]] = {
-    "strip_engine": ("batched", "serial"),
     "memory_engine": ("roofline", "hierarchy"),
     "partition": ("data", "model", "pipeline"),
     "scheme": ("data", "model", "pipeline"),
@@ -60,7 +58,7 @@ class DispatchExhaustivenessRule(Rule):
     code = "RPR004"
     name = "engine-dispatch-exhaustiveness"
     rationale = (
-        "string-knob dispatch (strip_engine/memory_engine/partition) "
+        "string-knob dispatch (memory_engine/partition) "
         "must cover the registered value set and reject unknown values, "
         "or a new engine silently falls into the wrong branch"
     )

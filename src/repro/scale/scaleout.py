@@ -35,10 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core import simulator_for
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.baseline import BaselineAccelerator
 from repro.core.config import AcceleratorConfig, fpraker_paper_config
-from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.core.stats import SimCounters
 from repro.core.workload import PhaseWorkload
 from repro.energy.model import CoreEnergy, EnergyBreakdown, EnergyModel
@@ -332,8 +332,9 @@ class ScaleOutSimulator:
     Args:
         config: accelerator configuration *of one node* (defaults to
             the paper's 36-tile FPRaker; baseline and Pragmatic-FP
-            configs dispatch to their simulators, mirroring
-            :func:`repro.harness.runner.execute_request`).
+            configs dispatch to their simulators through
+            :func:`repro.core.simulator_for`, as
+            :func:`repro.harness.runner.execute_request` does).
         nodes: compute-node count (>= 1).
         scheme: partition scheme (``"data"``, ``"model"``,
             ``"pipeline"``).
@@ -389,25 +390,16 @@ class ScaleOutSimulator:
                 f"microbatches must be >= 1, got {self.microbatches}"
             )
 
-    def _node_simulator(self):
+    def _node_simulator(self) -> AcceleratorSimulator | BaselineAccelerator:
         """One node's single-accelerator simulator (config dispatch)."""
-        if self.config.name == "baseline":
-            return BaselineAccelerator(
-                self.config, energy=self.energy, dram=self.dram
-            )
-        simulator_cls = (
-            PragmaticFPAccelerator
-            if self.config.name == "pragmatic-fp"
-            else AcceleratorSimulator
-        )
-        return simulator_cls(
+        return simulator_for(
             self.config,
-            energy=self.energy,
-            dram=self.dram,
             sample_strips=self.sample_strips,
             sample_steps=self.sample_steps,
             seed=self.seed,
             memory_engine=self.memory_engine,
+            energy=self.energy,
+            dram=self.dram,
         )
 
     def simulate_workload(

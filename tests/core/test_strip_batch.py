@@ -16,12 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.accelerator import AcceleratorSimulator
-from repro.core.config import PEConfig, TileConfig
+from repro.core.config import PEConfig, TileConfig, fpraker_paper_config
 from repro.core.pragmatic import PragmaticFPAccelerator
+from repro.core.stats import SimCounters
 from repro.core.tile import TileSimulator
 from repro.core.workload import PhaseWorkload
 from repro.fp.accumulator import AccumulatorSpec
 from repro.fp.bfloat16 import bf16_quantize
+from repro.harness.experiments import _rows_config, _variant_config
+from repro.traces.synthetic import gibbs_cache_clear
+from repro.traces.workload_cache import WorkloadCache
+from repro.traces.workloads import build_workloads
 
 
 def _strip_stack(seed, strips, rows, cols, steps, spread, zero_fraction):
@@ -226,33 +231,77 @@ class TestLoopFreeStripSchedule:
                 assert (got == want).all(), field
 
 
+def _phase_dicts(phases):
+    return [phase.to_dict() for phase in phases]
+
+
+def _serial_reference(sim, workload):
+    """One phase through the per-strip reference loop.
+
+    The same operand draw as :meth:`AcceleratorSimulator.simulate_phase`
+    (``_prepare_phase``), one :meth:`TileSimulator.simulate_strip` call
+    per strip, and the same scaling and memory pricing
+    (``_finish_phase``).
+    """
+    prep = sim._prepare_phase(workload)
+    tile = TileSimulator(prep.tile_cfg)
+    sampled = SimCounters()
+    steps = makespan = 0
+    for i in range(prep.strips):
+        result = tile.simulate_strip(
+            prep.a_stack[i],
+            prep.b_stack[i],
+            None if prep.initial_sums is None else prep.initial_sums[i],
+        )
+        sampled.add(result.counters)
+        steps += result.steps
+        makespan += result.makespan
+    return sim._finish_phase(prep, sampled, steps, makespan)
+
+
 class TestPhaseStacking:
     """Multi-phase stacks == per-phase batched calls, bit for bit."""
 
     def _workloads(self, model="NCF", acc_profile=None):
-        from repro.traces.workloads import build_workloads
-
         return build_workloads(
             model, progress=0.5, seed=0, acc_profile=acc_profile, cache=None
         )
 
     def test_stacked_equals_unstacked(self):
-        workloads = self._workloads()
-        stacked = AcceleratorSimulator().simulate_workload(workloads)
-        unstacked = AcceleratorSimulator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
-        assert stacked.to_dict() == unstacked.to_dict()
+        """The sweep `repro run all` runs per model -- the Fig 11
+        variants and two Fig 19 row geometries at two progress points:
+        stacked over cache-shared workloads == per-phase over cold
+        builds."""
+        configs = {
+            "paper": fpraker_paper_config(),
+            "zero": _variant_config("zero"),
+            "zero+bdc": _variant_config("zero+bdc"),
+            "rows 4": _rows_config(4),
+            "rows 16": _rows_config(16),
+        }
+        cache = WorkloadCache()
+        for progress in (0.5, 0.8):
+            for name, config in configs.items():
+                sim = AcceleratorSimulator(
+                    config, sample_strips=2, sample_steps=8
+                )
+                shared = build_workloads("NCF", progress=progress, cache=cache)
+                gibbs_cache_clear()
+                cold = build_workloads("NCF", progress=progress, cache=None)
+                stacked = sim.simulate_workload(shared)
+                assert _phase_dicts(stacked.phases) == _phase_dicts(
+                    sim.simulate_phase(workload) for workload in cold
+                ), (name, progress)
 
     def test_stacked_equals_serial_reference(self):
+        """Reduced sampling and the default 8 strips x 32 steps."""
         workloads = self._workloads()
-        stacked = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8
-        ).simulate_workload(workloads)
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_workload(workloads)
-        assert stacked.to_dict() == serial.to_dict()
+        for sampling in ({"sample_strips": 2, "sample_steps": 8}, {}):
+            sim = AcceleratorSimulator(**sampling)
+            stacked = sim.simulate_workload(workloads)
+            assert _phase_dicts(stacked.phases) == _phase_dicts(
+                _serial_reference(sim, workload) for workload in workloads
+            ), sampling
 
     def test_mixed_tile_configs_group_correctly(self):
         """Per-layer accumulator overrides split phases into distinct
@@ -262,11 +311,10 @@ class TestPhaseStacking:
         layers = [layer.name for layer in get_model("NCF").layers]
         profile = {layers[0]: 9, layers[1]: 15}
         workloads = self._workloads(acc_profile=profile)
-        stacked = AcceleratorSimulator().simulate_workload(workloads)
-        unstacked = AcceleratorSimulator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
-        assert stacked.to_dict() == unstacked.to_dict()
+        sim = AcceleratorSimulator()
+        assert _phase_dicts(
+            sim.simulate_workload(workloads).phases
+        ) == _phase_dicts(sim.simulate_phase(w) for w in workloads)
 
     def test_chunking_boundary(self):
         """A tiny stack cap forces multiple chunked engine calls."""
@@ -281,11 +329,10 @@ class TestPhaseStacking:
 
     def test_pragmatic_stacking(self):
         workloads = self._workloads()
-        stacked = PragmaticFPAccelerator().simulate_workload(workloads)
-        unstacked = PragmaticFPAccelerator(
-            phase_stacking=False
-        ).simulate_workload(workloads)
-        assert stacked.to_dict() == unstacked.to_dict()
+        sim = PragmaticFPAccelerator()
+        assert _phase_dicts(
+            sim.simulate_workload(workloads).phases
+        ) == _phase_dicts(sim.simulate_phase(w) for w in workloads)
 
 
 def _phase_workload(seed, sparsity=0.4, size=2048):
@@ -309,39 +356,28 @@ def _phase_workload(seed, sparsity=0.4, size=2048):
 
 
 class TestAcceleratorEngines:
-    """The two strip engines share one operand draw -> identical phases."""
+    """`simulate_phase`'s batched pass == the per-strip reference loop
+    over the same operand draw."""
 
     @pytest.mark.parametrize("cls", [AcceleratorSimulator, PragmaticFPAccelerator])
     def test_engines_bit_identical(self, cls):
         workload = _phase_workload(3)
-        batched = cls(strip_engine="batched").simulate_phase(workload)
-        serial = cls(strip_engine="serial").simulate_phase(workload)
-        assert batched.to_dict() == serial.to_dict()
+        sim = cls()
+        batched = sim.simulate_phase(workload)
+        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()
 
     def test_engines_identical_on_empty_streams(self):
         workload = _phase_workload(4)
         workload.values_a = np.array([])
         workload.values_b = np.array([])
-        batched = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="batched"
-        ).simulate_phase(workload)
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_phase(workload)
-        assert batched.to_dict() == serial.to_dict()
+        sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
+        batched = sim.simulate_phase(workload)
+        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()
 
     def test_engines_identical_on_zero_streams(self):
         workload = _phase_workload(5)
         workload.values_a = np.zeros(512)
         workload.values_b = np.zeros(512)
-        batched = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="batched"
-        ).simulate_phase(workload)
-        serial = AcceleratorSimulator(
-            sample_strips=2, sample_steps=8, strip_engine="serial"
-        ).simulate_phase(workload)
-        assert batched.to_dict() == serial.to_dict()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            AcceleratorSimulator(strip_engine="gpu")
+        sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
+        batched = sim.simulate_phase(workload)
+        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()

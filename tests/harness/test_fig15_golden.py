@@ -28,6 +28,8 @@ from repro.harness.runner import SessionConfig, SimulationSession
 FIXTURE = Path(__file__).parent / "fixtures" / "fig15_golden.json"
 GOLDEN_MODELS = ("NCF", "SNLI")
 
+HIERARCHY = SessionConfig(memory_engine="hierarchy")
+
 
 class TestFig15Golden:
     def test_default_engine_reproduces_golden_exactly(self):
@@ -50,7 +52,7 @@ class TestFig15Golden:
         bit-identical across engines)."""
         golden = json.loads(FIXTURE.read_text())
         table = run_fig15_stalls(
-            models=GOLDEN_MODELS, memory_engine="hierarchy"
+            models=GOLDEN_MODELS, session=SimulationSession(config=HIERARCHY)
         )
         assert table.headers == golden["headers"] + ["bank stall", "transposer"]
         for row, golden_row in zip(table.rows, golden["rows"]):
@@ -61,7 +63,9 @@ class TestFig12Hierarchy:
     def test_fraction_columns_partition_the_total(self):
         """The Scratchpad column is carved out of On-chip: the six
         energy-share columns must still sum to 1."""
-        table = run_fig12_energy(models=GOLDEN_MODELS, memory_engine="hierarchy")
+        table = run_fig12_energy(
+            models=GOLDEN_MODELS, session=SimulationSession(config=HIERARCHY)
+        )
         assert "Scratchpad" in table.headers
         for row in table.rows[:-1]:  # skip the geomean row
             shares = row[1:-1]  # all fraction columns

@@ -3,13 +3,11 @@
 SCHEMES = ("data", "model", "pipeline")
 
 
-def simulate(strip_engine: str, memory_engine: str, partition: str):
+def simulate(memory_engine: str, partition: str):
     """Validated knobs, full chains, and one-value fallthroughs."""
-    if strip_engine not in ("batched", "serial"):
-        raise ValueError(strip_engine)
     if memory_engine not in ("roofline", "hierarchy"):
         raise ValueError(memory_engine)
-    if strip_engine == "serial":  # single-branch gate: exempt
+    if memory_engine == "hierarchy":  # single-branch gate: exempt
         return 0
     if partition == "data":
         result = 2

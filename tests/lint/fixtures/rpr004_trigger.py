@@ -3,9 +3,9 @@
 SCHEMES = ("data", "model")  # missing "pipeline"
 
 
-def simulate(strip_engine: str, memory_engine: str, partition: str):
+def simulate(memory_engine: str, partition: str):
     """Every dispatch mistake the rule knows about."""
-    if strip_engine == "batchd":  # typo'd literal
+    if memory_engine == "hierarchi":  # typo'd literal
         return 1
     if memory_engine not in ("roofline",):  # stale validation tuple
         raise ValueError(memory_engine)

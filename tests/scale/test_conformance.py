@@ -193,14 +193,36 @@ class TestMultiNodeBehavior:
         # Communication makes scaling sub-linear.
         assert runs[4].speedup_vs(runs[1]) < 4.0
 
-    def test_symmetric_nodes_identical(self, ncf_workloads):
+    def test_symmetric_nodes_identical(self, ncf_workloads, monkeypatch):
+        """Symmetric schemes simulate one node and replicate it; the
+        pipeline simulates each non-empty stage once."""
+        calls = []
+        simulate = AcceleratorSimulator.simulate_workload
+
+        def counted(simulator, workloads, model=""):
+            calls.append(model)
+            return simulate(simulator, workloads, model=model)
+
+        monkeypatch.setattr(
+            AcceleratorSimulator, "simulate_workload", counted
+        )
+        for scheme in ("data", "model"):
+            calls.clear()
+            result = ScaleOutSimulator(
+                fpraker_paper_config(), nodes=8, scheme=scheme, **FAST
+            ).simulate_workload(ncf_workloads, model="NCF")
+            assert len(calls) == 1
+            dicts = [s.to_dict() for s in result.node_summaries]
+            for entry in dicts:
+                entry.pop("node_id")
+            assert len(dicts) == 8
+            assert all(entry == dicts[0] for entry in dicts)
+        calls.clear()
         result = ScaleOutSimulator(
-            fpraker_paper_config(), nodes=4, scheme="data", **FAST
+            fpraker_paper_config(), nodes=4, scheme="pipeline", **FAST
         ).simulate_workload(ncf_workloads, model="NCF")
-        dicts = [s.to_dict() for s in result.node_summaries]
-        for entry in dicts:
-            entry.pop("node_id")
-        assert all(entry == dicts[0] for entry in dicts)
+        stages = [s for s in result.node_summaries if s.layer_phases]
+        assert len(calls) == len(stages)
 
     def test_comm_priced_only_above_one_node(self, ncf_workloads):
         n4 = ScaleOutSimulator(

@@ -273,10 +273,10 @@ class TestClientErrors:
 
     def test_wait_false_uses_poll_timeout(self):
         # A wait=False poll must run under poll_timeout, not the full
-        # cold-run timeout -- verified against a never-answering socket.
+        # cold-run timeout -- verified against a never-answering socket
+        # through the expired timeout the error names.
         import socket
         import threading
-        import time as time_mod
 
         listener = socket.socket()
         listener.bind(("127.0.0.1", 0))
@@ -298,10 +298,8 @@ class TestClientErrors:
                 timeout=600.0,
                 poll_timeout=0.5,
             )
-            start = time_mod.monotonic()
-            with pytest.raises(ServiceTimeoutError):
+            with pytest.raises(ServiceTimeoutError, match=r"within 0\.5s"):
                 client.submit("NCF", wait=False)
-            assert time_mod.monotonic() - start < 30
         finally:
             listener.close()
             for conn in accepted:
