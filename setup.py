@@ -21,7 +21,7 @@ setup(
         ],
         # Static-analysis toolchain for the CI lint gate: ruff/mypy
         # configs live in ruff.toml / mypy.ini; the project-specific
-        # rules need no extra install (`repro lint` ships in-package).
+        # rules need no extra install (tests/lint runs them).
         "lint": [
             "ruff",
             "mypy",

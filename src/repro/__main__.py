@@ -10,13 +10,7 @@ Usage::
     python -m repro run all --cache .repro-cache   # warm reruns
     python -m repro run memory_profile             # traffic-engine profile
     python -m repro run fig15 --memory-engine hierarchy
-    python -m repro lint src/repro                 # static contract checks
     python -m repro serve --cache .repro-cache     # simulation daemon
-
-``lint`` runs the :mod:`repro.lint` static checker (the RPR rule set:
-determinism, cache-key completeness, serialization parity, dispatch
-exhaustiveness, artifact stability, docstring coverage) and exits 0
-on a clean tree, 1 when findings survive, 2 on usage errors.
 
 All simulation-driven experiments share one
 :class:`repro.harness.runner.SimulationSession`, so ``run all`` performs
@@ -48,7 +42,6 @@ from repro.harness.extensions import (
     run_precision_schedule,
 )
 from repro.harness.runner import SessionConfig, SimulationSession
-from repro.lint.cli import configure_lint_parser, run_lint
 from repro.models.zoo import MODEL_ZOO
 
 EXPERIMENTS = {
@@ -183,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    configure_lint_parser(sub)
     session_flags = _session_flags()
     runner = sub.add_parser(
         "run",
@@ -307,8 +299,6 @@ def main(argv: list[str] | None = None) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
-    if args.command == "lint":
-        return run_lint(args)
     if args.command == "serve":
         return _serve(args)
     unknown = _validate_models(args.models)

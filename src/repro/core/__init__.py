@@ -38,8 +38,6 @@ from repro.core.accelerator import (
 )
 from repro.core.baseline import BaselineAccelerator
 from repro.core.pragmatic import PragmaticFPAccelerator
-from repro.energy.model import EnergyModel
-from repro.memory.dram import DRAMModel
 
 
 def simulator_for(
@@ -48,8 +46,6 @@ def simulator_for(
     sample_steps: int,
     seed: int,
     memory_engine: str,
-    energy: EnergyModel | None = None,
-    dram: DRAMModel | None = None,
 ) -> AcceleratorSimulator | BaselineAccelerator:
     """The single-accelerator simulator a configuration names.
 
@@ -65,14 +61,12 @@ def simulator_for(
         sample_steps: reduction groups per strip.
         seed: operand-sampling RNG seed.
         memory_engine: ``"roofline"`` or ``"hierarchy"``.
-        energy: per-event energy model (None = the default).
-        dram: off-chip memory model (None = the default).
 
     Returns:
         The simulator, ready for ``simulate_workload``.
     """
     if config.name == "baseline":
-        return BaselineAccelerator(config, energy=energy, dram=dram)
+        return BaselineAccelerator(config)
     simulator_cls = (
         PragmaticFPAccelerator
         if config.name == "pragmatic-fp"
@@ -80,8 +74,6 @@ def simulator_for(
     )
     return simulator_cls(
         config,
-        energy=energy,
-        dram=dram,
         sample_strips=sample_strips,
         sample_steps=sample_steps,
         seed=seed,

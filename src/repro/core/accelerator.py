@@ -342,8 +342,6 @@ class AcceleratorSimulator:
     Args:
         config: accelerator configuration (defaults to the paper's
             36-tile FPRaker).
-        energy: per-event energy model.
-        dram: off-chip memory model.
         sample_strips: operand strips sampled per layer-phase.  The
             batched engine makes extra strips nearly free, so the
             default is 8 (twice the pre-batching default) for tighter
@@ -371,8 +369,6 @@ class AcceleratorSimulator:
     def __init__(
         self,
         config: AcceleratorConfig | None = None,
-        energy: EnergyModel | None = None,
-        dram: DRAMModel | None = None,
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
@@ -381,8 +377,8 @@ class AcceleratorSimulator:
         if memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {memory_engine!r}")
         self.config = config if config is not None else fpraker_paper_config()
-        self.energy = energy if energy is not None else EnergyModel()
-        self.dram = dram if dram is not None else DRAMModel()
+        self.energy = EnergyModel()
+        self.dram = DRAMModel()
         self.sample_strips = sample_strips
         self.sample_steps = sample_steps
         self.seed = seed

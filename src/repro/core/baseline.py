@@ -28,19 +28,12 @@ class BaselineAccelerator:
     Args:
         config: accelerator configuration (defaults to the paper's
             8-tile baseline).
-        energy: per-event energy model.
-        dram: off-chip memory model.
     """
 
-    def __init__(
-        self,
-        config: AcceleratorConfig | None = None,
-        energy: EnergyModel | None = None,
-        dram: DRAMModel | None = None,
-    ) -> None:
+    def __init__(self, config: AcceleratorConfig | None = None) -> None:
         self.config = config if config is not None else baseline_paper_config()
-        self.energy = energy if energy is not None else EnergyModel()
-        self.dram = dram if dram is not None else DRAMModel()
+        self.energy = EnergyModel()
+        self.dram = DRAMModel()
 
     def simulate_phase(self, workload: PhaseWorkload) -> LayerPhaseResult:
         """Simulate one layer-phase analytically.

@@ -21,8 +21,7 @@ from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import AcceleratorConfig, pragmatic_paper_config
 from repro.core.stats import SimCounters
 from repro.core.workload import PhaseWorkload
-from repro.energy.model import CoreEnergy, EnergyBreakdown, EnergyModel
-from repro.memory.dram import DRAMModel
+from repro.energy.model import CoreEnergy, EnergyBreakdown
 
 # Energy scale factors of the Pragmatic-FP datapath relative to
 # FPRaker's: full 12-position shifters and a wide adder tree on the
@@ -37,8 +36,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
 
     Args:
         config: defaults to 20 tiles of Pragmatic-FP PEs.
-        energy: per-event energy model (FPRaker's, rescaled here).
-        dram: off-chip memory model.
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
         seed: RNG seed.
@@ -49,8 +46,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
     def __init__(
         self,
         config: AcceleratorConfig | None = None,
-        energy: EnergyModel | None = None,
-        dram: DRAMModel | None = None,
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
@@ -58,8 +53,6 @@ class PragmaticFPAccelerator(AcceleratorSimulator):
     ) -> None:
         super().__init__(
             config=config if config is not None else pragmatic_paper_config(),
-            energy=energy,
-            dram=dram,
             sample_strips=sample_strips,
             sample_steps=sample_steps,
             seed=seed,

@@ -165,28 +165,6 @@ def term_count(values: np.ndarray) -> np.ndarray:
     return _LUT_COUNT[_man_index(values)]
 
 
-def term_count_powers(
-    values: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lean :func:`term_positions`: counts and digit positions only.
-
-    For timing-model callers that mask padded slots themselves (via the
-    count), the sign expansion and the zero-value blanking pass of
-    :func:`term_positions` are pure overhead -- this variant skips both.
-    Slots at or beyond ``count`` carry the LUT's ``-1`` padding (zero
-    values have ``count`` 0, so every slot of theirs is padding).
-
-    Args:
-        values: array representable in bfloat16, any shape ``S``.
-
-    Returns:
-        ``(count, power)``: int64 of shapes ``S`` and
-        ``S + (MAX_TERMS,)``.
-    """
-    man_idx = _man_index(values)
-    return _LUT_COUNT[man_idx], _LUT_POWER[man_idx]
-
-
 def term_positions(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized CSD expansion of an array of bfloat16 values.
 
@@ -241,22 +219,6 @@ _LUT_PARTIAL_SIGNED = np.concatenate([_LUT_PARTIAL, -_LUT_PARTIAL])
 # fit comfortably (|sum| <= 255), and a precomputed row-stride-11 index
 # turns the 2-D gather into one flat gather.
 _LUT_PARTIAL_SIGNED16_FLAT = _LUT_PARTIAL_SIGNED.astype(np.int16).ravel()
-
-
-def partial_csd_sum_signed(
-    signed_man: np.ndarray, pmin: np.ndarray
-) -> np.ndarray:
-    """Sign-applied :func:`partial_csd_sum`.
-
-    Args:
-        signed_man: ``man + (sign << 8)`` indices (sign 0/1), any shape.
-        pmin: power cutoffs, same shape; clipped to [0, 10].
-
-    Returns:
-        int64 array of ``(-1)^sign`` times the partial sums.
-    """
-    cut = np.clip(np.asarray(pmin, dtype=np.int64), 0, 10)
-    return _LUT_PARTIAL_SIGNED[np.asarray(signed_man, dtype=np.int64), cut]
 
 
 def partial_csd_sum(man: np.ndarray, pmin: np.ndarray) -> np.ndarray:

@@ -219,28 +219,6 @@ class ExtendedAccumulator:
             return
         self._store_normalized(total, emax)
 
-    def accumulate_terms(
-        self,
-        aligned_terms: list[tuple[int, int]],
-        emax: int,
-    ) -> None:
-        """Accumulate pre-aligned term contributions (the term-serial path).
-
-        Args:
-            aligned_terms: list of ``(signed_sig, weight)`` pairs where the
-                contribution equals ``signed_sig * 2^-weight`` relative to
-                ``2^emax`` -- i.e. already expressed on a power-of-two
-                sub-grid of the round.
-            emax: the round's maximum exponent.
-        """
-        frac = self.spec.frac_bits
-        total = 0
-        for signed_sig, weight in aligned_terms:
-            total += rne_shift_right(signed_sig, weight - frac)
-        if self.sig:
-            total += rne_shift_right(self.sig, emax - self.eacc)
-        self._store_normalized(total, emax)
-
     def _store_normalized(self, total: int, emax: int) -> None:
         """Normalize ``total`` (on grid ``2^(emax-frac)``) into the register."""
         frac = self.spec.frac_bits

@@ -337,10 +337,9 @@ def run_fig12_energy(
     table = Table(
         "Fig 12: Energy breakdown, FPRaker normalized to baseline", headers
     )
-    # Sessions always build simulators with the default per-event
-    # energies (execute_request passes no EnergyModel), so re-pricing
-    # the scratchpad bytes here matches what _phase_energy folded into
-    # the on-chip total.
+    # Every simulator prices energy with the default EnergyModel, so
+    # re-pricing the scratchpad bytes here matches what _phase_energy
+    # folded into the on-chip total.
     energy_model = EnergyModel()
     totals = []
     for model in models:

@@ -1,4 +1,4 @@
-"""Static enforcement of the repo's reproducibility contracts.
+"""Static checks of the repo's reproducibility contracts.
 
 Every perf layer of this codebase rests on invariants that were only
 checked dynamically until now: fast paths must stay bit-exact against
@@ -6,35 +6,21 @@ their retained serial references, every result-affecting knob must be
 part of a :class:`repro.harness.runner.SimulationSession` canonical
 cache key, ``to_dict``/``from_dict`` pairs must round-trip byte-stably,
 and emitted artifacts must be deterministic.  This package is the
-static half of that contract: an ``ast``-based checker (``repro lint``)
-that fails in CI before a test ever runs.
+static half of that contract: seven ``ast``-based rules that the
+tier-1 tests in ``tests/lint/`` run over ``src/repro``.
 
 Layout:
 
-* :mod:`repro.lint.findings` -- the :class:`Finding` record.
-* :mod:`repro.lint.registry` -- the :class:`Rule` base class and the
-  plugin registry rules register into at import time.
-* :mod:`repro.lint.suppressions` -- ``# repro: noqa`` parsing.
-* :mod:`repro.lint.runner` -- file collection and rule execution.
-* :mod:`repro.lint.reporters` -- text and JSON renderings.
-* :mod:`repro.lint.rules` -- the repo-specific rule set (RPR001..).
-* :mod:`repro.lint.cli` -- the ``repro lint`` subcommand.
+* :mod:`repro.lint.findings` -- the :class:`Finding` record and the
+  :class:`Rule` base class.
+* :mod:`repro.lint.astutil` -- shared ``ast`` helpers.
+* :mod:`repro.lint.rules` -- the repo-specific rule set (RPR001..)
+  and the :data:`repro.lint.rules.RULES` tuple listing it.
 
-Adding a rule is one module: subclass :class:`repro.lint.registry.Rule`,
-decorate with :func:`repro.lint.registry.register`, and import the
-module from :mod:`repro.lint.rules`.
+Adding a rule is one module: subclass :class:`Rule`, implement
+``check(tree, path)``, and add the class to ``RULES``.
 """
 
-from repro.lint.findings import Finding
-from repro.lint.registry import REGISTRY, Rule, register
-from repro.lint.runner import FileContext, LintReport, lint_paths
+from repro.lint.findings import Finding, Rule
 
-__all__ = [
-    "Finding",
-    "REGISTRY",
-    "Rule",
-    "register",
-    "FileContext",
-    "LintReport",
-    "lint_paths",
-]
+__all__ = ["Finding", "Rule"]

@@ -1,13 +1,11 @@
-"""The finding record every lint rule emits."""
+"""The finding record every lint rule emits, and the rule base class."""
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
-
-# Reserved pseudo-code for files the checker itself could not process
-# (syntax errors, crashed rules).  Not a registered rule: it cannot be
-# suppressed away with ``--select`` games, only ``--ignore RPR000``.
-INTERNAL_CODE = "RPR000"
+from pathlib import Path
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -32,12 +30,36 @@ class Finding:
         """Deterministic report ordering: path, position, code."""
         return (self.path, self.line, self.col, self.code, self.message)
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (the JSON reporter's row schema)."""
-        return {
-            "code": self.code,
-            "message": self.message,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-        }
+
+class Rule:
+    """Base class for one lint rule.
+
+    Subclasses set the class attributes and implement :meth:`check`;
+    :data:`repro.lint.rules.RULES` lists every rule class.
+
+    Attributes:
+        code: unique ``RPRxxx`` identifier.
+        name: short kebab-case rule name.
+        rationale: one-paragraph justification (the rule catalog in
+            ``docs/LINTING.md`` summarizes these).
+    """
+
+    code: str = ""
+    name: str = ""
+    rationale: str = ""
+
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
+        """Yield findings for one file.
+
+        Args:
+            tree: the file's parsed module.
+            path: the file's path (package-scoped rules read it).
+        """
+        raise NotImplementedError
+
+    def finding(self, message: str, node=None, line=1, col=0) -> Finding:
+        """Build a finding of this rule, anchored at a node if given."""
+        if node is not None:
+            line = getattr(node, "lineno", line)
+            col = getattr(node, "col_offset", col)
+        return Finding(code=self.code, message=message, line=line, col=col)

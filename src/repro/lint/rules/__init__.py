@@ -1,16 +1,23 @@
 """The repo-specific rule set.
 
-Importing this package registers every rule: each module calls
-:func:`repro.lint.registry.register` at import time.  New rules join
-the checker by being imported here -- nothing else to wire.
+:data:`RULES` lists every rule class in code order; a new rule joins
+the checks by being added to it.
 """
 
-from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    artifacts,
-    cache_key,
-    determinism,
-    dispatch,
-    docstrings,
-    facade,
-    serialization,
+from repro.lint.rules.artifacts import ArtifactStabilityRule
+from repro.lint.rules.cache_key import CacheKeyRule
+from repro.lint.rules.determinism import DeterminismRule
+from repro.lint.rules.dispatch import DispatchExhaustivenessRule
+from repro.lint.rules.docstrings import DocstringCoverageRule
+from repro.lint.rules.facade import FacadeSurfaceRule
+from repro.lint.rules.serialization import SerializationParityRule
+
+RULES = (
+    DeterminismRule,
+    CacheKeyRule,
+    SerializationParityRule,
+    DispatchExhaustivenessRule,
+    ArtifactStabilityRule,
+    DocstringCoverageRule,
+    FacadeSurfaceRule,
 )

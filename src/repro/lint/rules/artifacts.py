@@ -18,11 +18,11 @@ membership tests) are not flagged.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutil import dotted_name
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # Call wrappers that preserve (and therefore leak) iteration order.
 ORDER_PRESERVING = {"list", "tuple", "enumerate", "iter"}
@@ -54,7 +54,6 @@ def _is_listing_expr(node: ast.AST) -> bool:
     )
 
 
-@register
 class ArtifactStabilityRule(Rule):
     """Flag order-unstable iteration feeding program output."""
 
@@ -66,10 +65,10 @@ class ArtifactStabilityRule(Rule):
         "output"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield one finding per unstable iteration site."""
-        sanctified = self._sorted_args(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        sanctified = self._sorted_args(tree)
+        for node in ast.walk(tree):
             yield from self._check_node(node, sanctified)
 
     def _sorted_args(self, tree: ast.Module) -> set[int]:

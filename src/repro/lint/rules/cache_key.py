@@ -17,17 +17,17 @@ statically ties the key constructors to their input surfaces:
   so the key is independent of dict construction order.
 
 Deleting any result-affecting entry from the spec dict makes this rule
-fail the lint gate before a single test runs.
+fail the self-lint test in ``tests/lint``.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutil import dotted_name, param_names, str_const
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # Functions that build canonical keys (engagement is content-based:
 # the rule fires in any module defining one of these).
@@ -85,7 +85,6 @@ def _required_from_class_fields(classdef: ast.ClassDef) -> list[str]:
     ]
 
 
-@register
 class CacheKeyRule(Rule):
     """Statically enforce canonical-cache-key completeness."""
 
@@ -97,9 +96,9 @@ class CacheKeyRule(Rule):
         "cover every parameter that flows into a simulator"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield findings for incomplete key constructors."""
-        defs = _toplevel_defs(ctx.tree)
+        defs = _toplevel_defs(tree)
         builders = [
             defs[name]
             for name in KEY_BUILDERS

@@ -12,18 +12,18 @@ blessed pattern is an explicitly seeded generator::
     rng = np.random.default_rng()               # RPR001: OS-entropy seed
     t0 = time.time()                            # RPR001: wall clock
 
-Intentional exceptions (none exist today) carry a line-level
-``# repro: noqa RPR001 -- reason``.
+There is no suppression comment: an intentional exception (none
+exists today) would be written into this rule, with a fixture case.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutil import ImportMap
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # numpy.random callables that are fine to *construct* -- they are the
 # seeded-generator machinery itself, not draws from a global stream.
@@ -52,7 +52,6 @@ WALL_CLOCK = {
 }
 
 
-@register
 class DeterminismRule(Rule):
     """Flag unseeded RNG and wall-clock calls."""
 
@@ -64,10 +63,10 @@ class DeterminismRule(Rule):
         "worker fan-out, and bit-exactness contracts"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield one finding per offending call."""
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
+        imports = ImportMap(tree)
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             qual = imports.resolve(node.func)

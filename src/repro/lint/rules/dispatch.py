@@ -20,11 +20,11 @@ truth; the rule pins every static appearance of a knob to them:
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutil import str_const, str_sequence, terminal_name
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # Knob name -> registered literal set.  THE source of truth: engines
 # register here first, and the lint run enumerates the dispatch sites
@@ -51,7 +51,6 @@ def _knob_of(node: ast.AST) -> str | None:
     return name if name in KNOBS else None
 
 
-@register
 class DispatchExhaustivenessRule(Rule):
     """Pin dispatch sites to the registered engine/scheme sets."""
 
@@ -63,10 +62,10 @@ class DispatchExhaustivenessRule(Rule):
         "or a new engine silently falls into the wrong branch"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield findings for stale or non-exhaustive dispatch sites."""
         chain_members: set[int] = set()
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(tree):
             if isinstance(node, ast.Compare):
                 yield from self._check_compare(node)
             elif isinstance(node, ast.Assign):

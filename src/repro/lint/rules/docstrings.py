@@ -1,16 +1,10 @@
 """RPR006: public simulation APIs stay docstring-covered.
 
-The PR 6 documentation suite introduced an ``ast``-based docstring
-gate over the public APIs of ``repro.core``, ``repro.memory`` and
-``repro.scale``; this rule is that gate folded into the lint framework
-so there is one checker, one CLI, and one CI job.  Coverage is at 100%
-and the rule keeps it there: every public module, class, and function
-in the covered packages must carry a docstring.
-
-``tests/docs/test_docstring_coverage.py`` still enforces the original
->= 90% per-package threshold through :func:`coverage_report`, so the
-historical contract is unchanged -- the rule is simply stricter at the
-margin (it names each missing docstring instead of a percentage).
+An ``ast``-based docstring gate over the public APIs of
+``repro.core``, ``repro.memory`` and ``repro.scale``.  Coverage is at
+100% and the rule keeps it there: every public module, class, and
+function in the covered packages must carry a docstring, and each
+missing one is named.
 """
 
 from __future__ import annotations
@@ -19,8 +13,7 @@ import ast
 from pathlib import Path
 from typing import Iterator
 
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # Packages whose public APIs must stay documented.
 COVERED_PACKAGES = ("core", "memory", "scale")
@@ -71,30 +64,6 @@ def in_covered_package(parts: tuple[str, ...]) -> bool:
     return False
 
 
-def coverage_report(
-    package: str, src_root: Path
-) -> tuple[list[str], list[str]]:
-    """(documented, missing) qualname lists of one package.
-
-    The legacy entry point of the PR 6 gate, kept for the threshold
-    test in ``tests/docs/test_docstring_coverage.py``.
-
-    Args:
-        package: package directory name under ``src/repro``.
-        src_root: the ``src/repro`` directory.
-    """
-    documented: list[str] = []
-    missing: list[str] = []
-    for path in sorted((src_root / package).rglob("*.py")):
-        tree = ast.parse(path.read_text())
-        for qualname, _node, has_doc in walk_module(tree, path.name):
-            (documented if has_doc else missing).append(
-                f"{package}/{qualname}"
-            )
-    return documented, missing
-
-
-@register
 class DocstringCoverageRule(Rule):
     """Require docstrings on the covered packages' public APIs."""
 
@@ -106,12 +75,12 @@ class DocstringCoverageRule(Rule):
         "must carry a docstring"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield one finding per undocumented public object."""
-        if not in_covered_package(ctx.posix_parts):
+        if not in_covered_package(path.resolve().parts):
             return
         for qualname, node, has_doc in walk_module(
-            ctx.tree, ctx.path.name
+            tree, path.name
         ):
             if has_doc:
                 continue

@@ -15,10 +15,10 @@ places (and in the docs) at once.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 # Files the rule engages on (the facade module, wherever it lives --
 # fixtures included).
@@ -77,7 +77,6 @@ def _find_all(tree: ast.Module):
     return None
 
 
-@register
 class FacadeSurfaceRule(Rule):
     """Pin the facade module's ``__all__`` to the documented surface."""
 
@@ -90,11 +89,11 @@ class FacadeSurfaceRule(Rule):
         "docs, and this rule change together or not at all"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield one finding per facade/documentation divergence."""
-        if ctx.path.name != FACADE_BASENAME:
+        if path.name != FACADE_BASENAME:
             return
-        node = _find_all(ctx.tree)
+        node = _find_all(tree)
         if node is None:
             yield self.finding(
                 "facade module defines no __all__ (the documented "
@@ -133,7 +132,7 @@ class FacadeSurfaceRule(Rule):
                     "was removed on purpose)",
                     node=node,
                 )
-        bound = _module_bindings(ctx.tree)
+        bound = _module_bindings(tree)
         for name in names:
             if name not in FACADE_SURFACE:
                 yield self.finding(

@@ -13,14 +13,15 @@ diffs three key sets per serialized dataclass:
 * the string keys ``from_dict`` consumes (``data["k"]`` loads,
   ``data.get("k")``, and the comprehension pattern).
 
-Keys that are deliberately emitted under a different name, or derived
-keys emitted for readers other than ``from_dict``, carry a line-level
-``# repro: noqa RPR003 -- reason``.
+There is no suppression comment: a key deliberately emitted under a
+different name, or a derived key for readers other than ``from_dict``,
+would be written into this rule, with a fixture case.
 """
 
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.astutil import (
@@ -30,8 +31,7 @@ from repro.lint.astutil import (
     resolved_comp_keys,
     str_const,
 )
-from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.findings import Finding, Rule
 
 
 def _emitted_keys(
@@ -104,7 +104,6 @@ def _consumed_keys(
     return keys, resolved
 
 
-@register
 class SerializationParityRule(Rule):
     """Diff serialized key sets against dataclass fields."""
 
@@ -115,9 +114,9 @@ class SerializationParityRule(Rule):
         "missing from either side silently truncates warm results"
     )
 
-    def check(self, ctx) -> Iterator[Finding]:
+    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
         """Yield findings for each lossy serialization pair."""
-        for node in ast.walk(ctx.tree):
+        for node in ast.walk(tree):
             if not isinstance(node, ast.ClassDef):
                 continue
             if not is_dataclass(node):

@@ -41,7 +41,7 @@ from repro.core.baseline import BaselineAccelerator
 from repro.core.config import AcceleratorConfig, fpraker_paper_config
 from repro.core.stats import SimCounters
 from repro.core.workload import PhaseWorkload
-from repro.energy.model import CoreEnergy, EnergyBreakdown, EnergyModel
+from repro.energy.model import CoreEnergy, EnergyBreakdown
 from repro.memory.dram import DRAMModel
 from repro.scale.interconnect import CommStats, LinkModel, price_comm
 from repro.scale.partition import NodePlan, partition_workloads
@@ -166,8 +166,8 @@ class ScaleOutResult:
         model: model name.
         scheme: partition scheme used.
         nodes: compute-node count.
-        microbatches: micro-batches of the pipeline schedule (equals
-            ``nodes`` unless overridden; irrelevant to other schemes).
+        microbatches: micro-batches of the pipeline schedule (``nodes``
+            under the pipeline scheme, 1 under the others).
         node_summaries: one :class:`NodeSummary` per node.
         cycles: aggregate makespan of one training step.
         node_cycles: slowest node's compute time (no communication).
@@ -201,11 +201,6 @@ class ScaleOutResult:
     def total_energy_nj(self) -> float:
         """Node energy plus link energy, in nanojoules."""
         return self.energy.total + self.link_energy_nj
-
-    @property
-    def comm_wire_bytes(self) -> float:
-        """Bytes put on the links across all nodes, per step."""
-        return sum(s.comm.wire_bytes for s in self.node_summaries)
 
     def speedup_vs(self, other: "ScaleOutResult") -> float:
         """Makespan speedup of this run relative to ``other``."""
@@ -338,16 +333,15 @@ class ScaleOutSimulator:
         nodes: compute-node count (>= 1).
         scheme: partition scheme (``"data"``, ``"model"``,
             ``"pipeline"``).
-        link: inter-node link model (defaults to :class:`LinkModel`).
-        energy: per-event energy model shared by the node simulators.
-        dram: per-node off-chip memory model.
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
         seed: operand-sampling RNG seed.
         memory_engine: ``"roofline"`` or ``"hierarchy"`` for the node
             simulators (the baseline prices roofline either way).
-        microbatches: pipeline micro-batch count (defaults to
-            ``nodes``; other schemes ignore it).
+
+    Links are priced by the default :class:`LinkModel` and node memory
+    by the default :class:`DRAMModel`; the pipeline schedule runs
+    ``nodes`` micro-batches.
     """
 
     def __init__(
@@ -355,14 +349,10 @@ class ScaleOutSimulator:
         config: AcceleratorConfig | None = None,
         nodes: int = 1,
         scheme: str = "data",
-        link: LinkModel | None = None,
-        energy: EnergyModel | None = None,
-        dram: DRAMModel | None = None,
         sample_strips: int = 8,
         sample_steps: int = 32,
         seed: int = 1234,
         memory_engine: str = "roofline",
-        microbatches: int | None = None,
     ) -> None:
         if nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {nodes}")
@@ -375,20 +365,12 @@ class ScaleOutSimulator:
         self.config = config if config is not None else fpraker_paper_config()
         self.nodes = int(nodes)
         self.scheme = scheme
-        self.link = link if link is not None else LinkModel()
-        self.energy = energy
-        self.dram = dram if dram is not None else DRAMModel()
+        self.link = LinkModel()
+        self.dram = DRAMModel()
         self.sample_strips = sample_strips
         self.sample_steps = sample_steps
         self.seed = seed
         self.memory_engine = memory_engine
-        self.microbatches = (
-            int(microbatches) if microbatches is not None else self.nodes
-        )
-        if self.microbatches < 1:
-            raise ValueError(
-                f"microbatches must be >= 1, got {self.microbatches}"
-            )
 
     def _node_simulator(self) -> AcceleratorSimulator | BaselineAccelerator:
         """One node's single-accelerator simulator (config dispatch)."""
@@ -398,8 +380,6 @@ class ScaleOutSimulator:
             sample_steps=self.sample_steps,
             seed=self.seed,
             memory_engine=self.memory_engine,
-            energy=self.energy,
-            dram=self.dram,
         )
 
     def simulate_workload(
@@ -461,6 +441,6 @@ class ScaleOutSimulator:
             model,
             self.scheme,
             self.nodes,
-            self.microbatches if self.scheme == "pipeline" else 1,
+            self.nodes if self.scheme == "pipeline" else 1,
             summaries,
         )

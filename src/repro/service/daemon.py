@@ -32,6 +32,7 @@ import json
 import queue
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 from repro.harness.cache import CACHE_VERSION
 from repro.harness.runner import (
@@ -116,15 +117,26 @@ class ServiceDaemon:
         return self._executor
 
     async def _run(self, key: str, request: SimRequest):
-        """Execute one cold simulation on the pool and persist it."""
+        """Execute one cold simulation on the pool and persist it.
+
+        A worker that dies breaks its process pool for good, so the
+        broken pool is dropped and the next cold request builds a new
+        one.
+        """
         loop = asyncio.get_running_loop()
         try:
+            pool = self._pool()
             result = await loop.run_in_executor(
-                self._pool(), execute_request, request, self.config
+                pool, execute_request, request, self.config
             )
             self.stats.simulations += 1
             self.store.store(key, result)
             return result
+        except BrokenProcessPool:
+            if self._executor is pool:
+                pool.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+            raise
         finally:
             self._inflight.pop(key, None)
 

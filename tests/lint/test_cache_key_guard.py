@@ -1,5 +1,5 @@
 """Acceptance guard for RPR002: deleting any result-affecting entry
-from the real ``canonical_key`` spec dict must make the lint fail.
+from the real ``canonical_key`` spec dict must make the rule fire.
 
 The test performs AST surgery on a copy of ``harness/runner.py`` --
 removing one spec entry at a time -- and asserts the cache-key rule
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import lint_paths
+from . import run_rules
 
 RUNNER = Path(__file__).parents[2] / "src" / "repro" / "harness" / "runner.py"
 
@@ -59,8 +59,7 @@ def test_unmodified_runner_is_rpr002_clean(tmp_path):
     tree = ast.parse(RUNNER.read_text())
     copy = tmp_path / "runner.py"
     copy.write_text(ast.unparse(tree) + "\n")
-    report = lint_paths([copy], select=["RPR002"])
-    assert report.findings == []
+    assert run_rules([copy], select={"RPR002"}) == []
 
 
 @pytest.mark.parametrize("victim", SPEC_KEYS)
@@ -78,6 +77,6 @@ def test_deleting_spec_key_fails_lint(victim, tmp_path):
     copy = tmp_path / "runner.py"
     copy.write_text(ast.unparse(ast.fix_missing_locations(tree)) + "\n")
 
-    report = lint_paths([copy], select=["RPR002"])
-    assert report.findings, f"deleting {victim!r} went undetected"
-    assert any(f"'{victim}'" in f.message for f in report.findings)
+    findings = run_rules([copy], select={"RPR002"})
+    assert findings, f"deleting {victim!r} went undetected"
+    assert any(f"'{victim}'" in f.message for f in findings)

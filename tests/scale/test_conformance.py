@@ -247,7 +247,5 @@ class TestMultiNodeBehavior:
             ScaleOutSimulator(nodes=0)
         with pytest.raises(ValueError, match="scheme"):
             ScaleOutSimulator(scheme="torus")
-        with pytest.raises(ValueError, match="microbatches"):
-            ScaleOutSimulator(nodes=2, microbatches=0)
         with pytest.raises(ValueError, match="empty"):
             ScaleOutSimulator(nodes=2).simulate_workload([])

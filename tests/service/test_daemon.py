@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import os
 import time
 
 import pytest
@@ -11,6 +12,7 @@ from repro.harness.runner import (
     SessionConfig,
     SimRequest,
     SimulationSession,
+    execute_request,
 )
 from repro.service import wire
 from repro.service.client import (
@@ -226,6 +228,36 @@ class TestHttpErrors:
         with pytest.raises(ServiceError, match=r"requests\[0\]") as err:
             client._call("POST", "/sweep", body)
         assert err.value.status == 400
+
+
+def _worker_dies_on_snli(request, config):
+    """``execute_request`` whose worker process exits on SNLI."""
+    if request.model == "SNLI":
+        os._exit(1)
+    return execute_request(request, config)
+
+
+class TestFaults:
+    def test_dead_worker_pool_is_rebuilt(self, tmp_path, monkeypatch):
+        # The daemon submits the patched function to its process pool;
+        # the forked workers resolve it by its module path.
+        monkeypatch.setattr(
+            "repro.service.daemon.execute_request", _worker_dies_on_snli
+        )
+        with ResultStore(tmp_path / "store") as store:
+            daemon = background_daemon(QUICK, store, use_processes=True)
+            with daemon as (url, _thread):
+                status, body = _post(
+                    url, "/simulate", {"request": {"model": "SNLI"}}
+                )
+                assert status == 500
+                assert "BrokenProcessPool" in body["error"]
+                status, body = _post(
+                    url, "/simulate", {"request": {"model": "NCF"}}
+                )
+            assert status == 200
+            assert body["status"] == "miss" and body["result"]
+            assert len(store) == 1
 
 
 class TestClientErrors:
