@@ -3,7 +3,9 @@
 Starts a real daemon process, issues one `/simulate`, a cold `/sweep`
 over the Fig 11 models, then repeats the sweep and asserts the second
 pass is answered almost entirely (>= 90%) from the shared store with
-zero new simulations.  Finishes with `/stats` and writes the whole
+zero new simulations.  Checks `/stats`, stops the daemon, then runs
+`repro run fig13 --cache` on the daemon's store directory, which must
+answer every simulation from it and add no entry.  Writes the whole
 transcript as JSON for the CI artifact upload.
 
 Usage::
@@ -178,6 +180,28 @@ def main(argv: list[str] | None = None) -> int:
                 process.wait(timeout=30)
             except subprocess.TimeoutExpired:
                 process.kill()
+
+        # fig13 asks for exactly the default-config keys the sweep
+        # stored, so `run --cache` on the store must simulate nothing.
+        store = Path(tmp) / "store"
+        entries = sorted(store.glob("*.json"))
+        cli = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "run", "fig13",
+                "--models", *models,
+                "--cache", str(store),
+                "--format", "json",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        after = sorted(store.glob("*.json"))
+        check(
+            "cli-reads-store",
+            cli.returncode == 0 and after == entries,
+            f"`repro run fig13 --cache` exited {cli.returncode}, "
+            f"{len(after) - len(entries)} new entries",
+        )
     _finish(transcript, args.out)
     print(f"transcript written to {args.out}", flush=True)
     return 0

@@ -23,7 +23,7 @@ lower layers stay importable for research use::
 or from the shell::
 
     python -m repro run fig11
-    python -m repro serve --cache .repro-store
+    python -m repro serve --store .repro-store
 """
 
 __version__ = "1.0.0"

@@ -10,7 +10,7 @@ Usage::
     python -m repro run all --cache .repro-cache   # warm reruns
     python -m repro run memory_profile             # traffic-engine profile
     python -m repro run fig15 --memory-engine hierarchy
-    python -m repro serve --cache .repro-cache     # simulation daemon
+    python -m repro serve --store .repro-cache     # simulation daemon
 
 All simulation-driven experiments share one
 :class:`repro.harness.runner.SimulationSession`, so ``run all`` performs
@@ -22,10 +22,10 @@ event-level memory hierarchy (container bursts, bank conflicts,
 transposer occupancy) instead of the flat roofline.
 
 ``serve`` runs the same simulation machinery as a long-lived HTTP
-daemon over a shared sqlite result store (see ``docs/SERVICE.md``); it
-takes the same ``--jobs/--cache/--workload-cache/--memory-engine``
-session flags as ``run`` -- a ``--cache`` directory warmed by prior
-``repro run`` invocations is migrated into the store on startup.
+daemon (see ``docs/SERVICE.md``); it takes ``run``'s ``--jobs`` and
+``--memory-engine`` flags, and its ``--store DIR`` is the same per-key
+JSON directory as ``run --cache DIR``, so either front end starts warm
+on what the other wrote.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ def _positive_int(text: str) -> int:
 def _session_flags() -> argparse.ArgumentParser:
     """Parent parser of the session flags ``run`` and ``serve`` share.
 
-    One definition keeps the two subcommands' ``--jobs``, ``--cache``,
-    ``--workload-cache`` and ``--memory-engine`` flags identical in
-    name, type, default and help text.
+    One definition keeps the two subcommands' ``--jobs`` and
+    ``--memory-engine`` flags identical in name, type, default and help
+    text.
 
     Returns:
         An ``add_help=False`` parser for use via ``parents=[...]``.
@@ -136,21 +136,6 @@ def _session_flags() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for independent simulations (default: 1)",
-    )
-    parent.add_argument(
-        "--cache",
-        metavar="DIR",
-        default=None,
-        help="persist simulation results under DIR (warm reruns; "
-        "`serve` migrates DIR's entries into its shared store)",
-    )
-    parent.add_argument(
-        "--workload-cache",
-        metavar="DIR",
-        default=None,
-        help="persist generated workload tensors under DIR (defaults "
-        "to CACHE/workloads when --cache is set; in-memory reuse is "
-        "always on)",
     )
     parent.add_argument(
         "--memory-engine",
@@ -183,6 +168,13 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[session_flags],
     )
     runner.add_argument("experiment", help="experiment id, or 'all'")
+    runner.add_argument(
+        "--cache",
+        metavar="DIR",
+        default=None,
+        help="persist simulation results and workload tensors under DIR "
+        "(warm reruns; `serve --store DIR` shares the results)",
+    )
     runner.add_argument(
         "--models",
         nargs="+",
@@ -234,19 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--store",
-        metavar="PATH",
-        default=None,
-        help="result-store location: a directory or a .sqlite file "
-        "(default: --cache when given, else .repro-store)",
+        metavar="DIR",
+        default=".repro-store",
+        help="result directory, the same format as `run --cache DIR` "
+        "(default: .repro-store)",
     )
     return parser
 
 
 def _serve(args) -> int:
     """The ``repro serve`` handler: open the store, run the daemon.
-
-    The daemon shares ``run``'s session flags; a ``--cache`` directory
-    warmed by prior CLI runs is migrated into the store before serving.
 
     Args:
         args: parsed ``serve`` arguments.
@@ -255,33 +244,18 @@ def _serve(args) -> int:
         Process exit code.
     """
     from repro.service.daemon import run_daemon
-    from repro.service.store import ResultStore, StoreError
+    from repro.service.store import ResultStore
 
-    store_path = args.store or args.cache or ".repro-store"
-    config = SessionConfig(
-        jobs=args.jobs,
-        memory_engine=args.memory_engine,
-        workload_cache=(
-            args.workload_cache if args.workload_cache is not None else True
-        ),
-    )
-    try:
-        store = ResultStore(store_path)
-    except StoreError as exc:
-        print(f"repro serve: {exc}", file=sys.stderr)
+    if Path(args.store).exists() and not Path(args.store).is_dir():
+        print(
+            f"repro serve: --store {args.store!r} is not a directory",
+            file=sys.stderr,
+        )
         return 2
-    if args.cache is not None:
-        imported = store.import_legacy(args.cache)
-        if imported:
-            print(
-                f"repro serve: imported {imported} entries from "
-                f"{args.cache}",
-                flush=True,
-            )
-    try:
-        return run_daemon(config, store, host=args.host, port=args.port)
-    finally:
-        store.close()
+    config = SessionConfig(jobs=args.jobs, memory_engine=args.memory_engine)
+    return run_daemon(
+        config, ResultStore(args.store), host=args.host, port=args.port
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -317,11 +291,7 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-    for flag, value in (
-        ("--cache", args.cache),
-        ("--out", args.out),
-        ("--workload-cache", args.workload_cache),
-    ):
+    for flag, value in (("--cache", args.cache), ("--out", args.out)):
         if value is not None and Path(value).exists() and not Path(value).is_dir():
             print(f"{flag} {value!r} is not a directory", file=sys.stderr)
             return 2
@@ -330,9 +300,6 @@ def main(argv: list[str] | None = None) -> int:
             jobs=args.jobs,
             cache_dir=args.cache,
             memory_engine=args.memory_engine,
-            workload_cache=(
-                args.workload_cache if args.workload_cache is not None else True
-            ),
         )
     )
     out_dir = Path(args.out) if args.out else None

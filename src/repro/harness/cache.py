@@ -12,7 +12,9 @@ The store is deliberately simple: content-addressed file names (SHA-256
 of the key), atomic writes via a temp file, and unreadable or stale
 entries treated as misses.  Concurrent readers/writers of the same
 directory are safe because a key's content is a pure function of the
-key.
+key.  It is the one persistent result format: ``repro run --cache DIR``
+and ``repro serve --store DIR`` (through
+:class:`repro.service.store.ResultStore`) share the same directory.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class ResultCache:
                 payload = json.load(handle)
         except (OSError, json.JSONDecodeError):
             return None
-        if payload.get("version") != CACHE_VERSION or payload.get("key") != key:
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != CACHE_VERSION
+            or payload.get("key") != key
+        ):
             return None
         try:
             if payload.get("kind") == "scaleout":
@@ -98,10 +104,11 @@ class ResultCache:
             ),
             "result": result.to_dict(),
         }
+        text = json.dumps(payload)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(payload, handle)
+                handle.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -370,23 +370,19 @@ class SessionConfig:
     Validated on construction, hashable, and shared verbatim by the
     in-process API (:mod:`repro.api`), the CLI, the ``repro serve``
     daemon and :func:`execute_request` -- one configuration object for
-    every front end.  ``jobs``, ``cache_dir`` and ``workload_cache``
-    never change a result; every other field is part of
-    :func:`canonical_key`.
+    every front end.  ``jobs`` and ``cache_dir`` never change a result;
+    every other field is part of :func:`canonical_key`.
 
     Attributes:
         jobs: worker processes for prefetch fan-out (values below 1 are
             clamped to serial).
-        cache_dir: directory for on-disk result persistence (None
-            disables it).
+        cache_dir: directory for on-disk result persistence, with
+            generated workload tensors under ``cache_dir/workloads``
+            (None keeps both in memory only).
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
         sim_seed: operand-sampling RNG seed.
         memory_engine: ``"roofline"`` or ``"hierarchy"``.
-        workload_cache: workload-reuse policy -- ``True`` (shared,
-            persisted under ``cache_dir/workloads`` when ``cache_dir``
-            is set), ``False`` (rebuild per simulation), or a disk
-            directory.
     """
 
     jobs: int = 1
@@ -395,7 +391,6 @@ class SessionConfig:
     sample_steps: int = 32
     sim_seed: int = 1234
     memory_engine: str = "roofline"
-    workload_cache: bool | str = True
 
     def __post_init__(self) -> None:
         """Validate and normalize every field (frozen-safe)."""
@@ -416,23 +411,14 @@ class SessionConfig:
             raise ValueError(f"unknown memory engine {self.memory_engine!r}")
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
-        if not isinstance(self.workload_cache, bool):
-            object.__setattr__(
-                self, "workload_cache", os.fspath(self.workload_cache)
-            )
 
     @property
-    def workload_cache_spec(self) -> str | None:
-        """Workload-cache spec forwarded to workers (None = cold builds)."""
-        if self.workload_cache is False:
-            return None
-        if self.workload_cache is True:
-            return (
-                str(Path(self.cache_dir) / "workloads")
-                if self.cache_dir is not None
-                else "default"
-            )
-        return str(self.workload_cache)
+    def workload_cache_spec(self) -> str:
+        """Workload-cache spec forwarded to workers: npz tensors under
+        ``cache_dir/workloads``, or the in-memory cache without one."""
+        if self.cache_dir is None:
+            return "default"
+        return str(Path(self.cache_dir) / "workloads")
 
     def to_dict(self) -> dict:
         """This configuration as its versioned public wire form."""
@@ -444,7 +430,6 @@ class SessionConfig:
             "sample_steps": self.sample_steps,
             "sim_seed": self.sim_seed,
             "memory_engine": self.memory_engine,
-            "workload_cache": self.workload_cache,
         }
 
     @classmethod
@@ -476,7 +461,7 @@ class SessionConfig:
             )
         known = (
             "schema", "jobs", "cache_dir", "sample_strips", "sample_steps",
-            "sim_seed", "memory_engine", "workload_cache",
+            "sim_seed", "memory_engine",
         )
         unknown = sorted(set(data) - set(known))
         if unknown:
@@ -491,7 +476,6 @@ class SessionConfig:
             "sample_steps": data.get("sample_steps"),
             "sim_seed": data.get("sim_seed"),
             "memory_engine": data.get("memory_engine"),
-            "workload_cache": data.get("workload_cache"),
         }
         kwargs = {}
         for name, value in values.items():

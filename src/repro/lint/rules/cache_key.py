@@ -43,7 +43,6 @@ NON_KEY_PARAMS = {
     "request",
     "jobs",
     "cache_dir",
-    "workload_cache",
 }
 
 

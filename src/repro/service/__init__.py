@@ -10,9 +10,10 @@ from the same shared store with byte-identical results.
 
 Modules:
 
-* :mod:`repro.service.store` -- sqlite-backed shared result store
-  (generalizes the per-file JSON :class:`repro.harness.cache.ResultCache`),
-  ``CACHE_VERSION``-aware eviction, legacy-cache importer.
+* :mod:`repro.service.store` -- the shared result store: a
+  :class:`repro.harness.cache.ResultCache` directory (one JSON file per
+  key, the format of ``repro run --cache``) plus the ``/stats`` entry
+  counts.
 * :mod:`repro.service.wire` -- versioned JSON wire schema shared by the
   daemon and the client (envelopes, result encoding, error shapes).
 * :mod:`repro.service.daemon` -- the asyncio HTTP daemon behind

@@ -11,14 +11,20 @@ service:
   daemon answer is byte-identical to an in-process run with the same
   configuration;
 * keys are deduplicated three ways: against the shared
-  :class:`repro.service.store.ResultStore`, against **in-flight**
+  :class:`repro.service.store.ResultStore` (the per-key JSON directory
+  ``repro run --cache`` also reads and writes), against **in-flight**
   computations (concurrent requests for one key coalesce onto one
   simulation), and within a ``/sweep`` batch;
 * cache misses fan out over a persistent
   :class:`concurrent.futures.ProcessPoolExecutor` sized by
   ``config.jobs`` (a thread pool in ``use_processes=False`` test mode);
 * every per-request answer carries ``hit|miss|pending`` provenance
-  (see :mod:`repro.service.wire` for the envelope shapes).
+  (see :mod:`repro.service.wire` for the envelope shapes); a simulation
+  that failed while only ``wait: false`` pollers watched it is reported
+  as a 500 to the next request for its key;
+* each connection must deliver its request within
+  :data:`READ_TIMEOUT_S` and at most :data:`MAX_HEADER_LINES` header
+  lines, each within the stream limit.
 
 Endpoints: ``POST /simulate``, ``POST /sweep``, ``GET /stats``,
 ``GET /healthz``.
@@ -50,14 +56,77 @@ from repro.service.store import ResultStore
 # realistic sweep envelope by orders of magnitude).
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
+# Seconds a client has to deliver its whole request (request line,
+# headers and body); a connection still reading at the deadline is
+# closed unanswered.
+READ_TIMEOUT_S = 30.0
+
+# Header lines accepted per request.  More lines, or one line longer
+# than the stream limit (64 KiB), are answered 431.
+MAX_HEADER_LINES = 100
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+class _Rejected(Exception):
+    """A request refused before dispatch, with its HTTP status."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_request(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, bytes] | None:
+    """Read one request as ``(method, path, body)``.
+
+    Returns:
+        The request, or None when the client sent no usable request
+        line (it connected and closed, or sent garbage).
+
+    Raises:
+        _Rejected: 431 for more than :data:`MAX_HEADER_LINES` header
+            lines or a line over the stream limit; 413 for a
+            ``Content-Length`` outside ``0..MAX_BODY_BYTES``.
+    """
+    lines: list[str] = []
+    while True:
+        try:
+            line = await reader.readline()
+        except ValueError:  # the line overran the stream limit
+            raise _Rejected(431, "header line too long") from None
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if len(lines) > MAX_HEADER_LINES:  # request line + the cap
+            raise _Rejected(
+                431, f"more than {MAX_HEADER_LINES} header lines"
+            )
+        lines.append(line.decode("latin-1"))
+    parts = lines[0].split() if lines else []
+    if len(parts) < 2:
+        return None
+    method, path = parts[0].upper(), parts[1].split("?", 1)[0]
+    length = 0
+    for header in lines[1:]:
+        name, _, value = header.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                length = int(value.strip())
+            except ValueError:
+                length = -1
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise _Rejected(413, f"body must be 0..{MAX_BODY_BYTES} bytes")
+    body = await reader.readexactly(length) if length else b""
+    return method, path, body
 
 
 class ServiceDaemon:
@@ -67,9 +136,9 @@ class ServiceDaemon:
         config: session configuration every simulation runs under --
             the daemon-side analogue of constructing one
             :class:`SimulationSession` for all clients.  ``jobs`` sizes
-            the worker pool; ``cache_dir`` is ignored (the store
-            replaces the per-file JSON cache).
-        store: the shared result store to dedup against.
+            the worker pool; ``cache_dir`` is ignored (results persist
+            through ``store``).
+        store: the shared result directory to dedup against.
         use_processes: run cold simulations on a process pool (the
             production path).  False uses a thread pool -- identical
             results, cheaper startup -- for tests and single-shot use.
@@ -87,6 +156,8 @@ class ServiceDaemon:
         self.use_processes = use_processes
         self.stats = SessionStats()
         self._inflight: dict[str, asyncio.Future] = {}
+        # Failures no request has received yet (only pollers watched).
+        self._failed: dict[str, Exception] = {}
         self._executor: Executor | None = None
         self._server: asyncio.AbstractServer | None = None
 
@@ -119,6 +190,7 @@ class ServiceDaemon:
     async def _run(self, key: str, request: SimRequest):
         """Execute one cold simulation on the pool and persist it.
 
+        A failure is held in ``_failed`` until a request receives it.
         A worker that dies breaks its process pool for good, so the
         broken pool is dropped and the next cold request builds a new
         one.
@@ -132,13 +204,22 @@ class ServiceDaemon:
             self.stats.simulations += 1
             self.store.store(key, result)
             return result
-        except BrokenProcessPool:
-            if self._executor is pool:
+        except Exception as exc:
+            if isinstance(exc, BrokenProcessPool) and self._executor is pool:
                 pool.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
+            self._failed[key] = exc
             raise
         finally:
             self._inflight.pop(key, None)
+
+    async def _wait(self, key: str, future: asyncio.Future):
+        """Await a computation; a failure raised here has been reported."""
+        try:
+            return await asyncio.shield(future)
+        except Exception:
+            self._failed.pop(key, None)
+            raise
 
     async def resolve(self, request: SimRequest, wait: bool = True) -> dict:
         """Answer one request with ``hit|miss|pending`` provenance.
@@ -151,24 +232,37 @@ class ServiceDaemon:
         Returns:
             One response entry: ``status``/``key`` always, plus
             ``kind``/``result`` when the status is not ``pending``.
+
+        Raises:
+            Exception: the simulation's own error, to the requests
+                waiting on it -- or, when only ``wait: false`` pollers
+                watched it fail, once to the next request for the key.
         """
         key = self.key_of(request)
         inflight = self._inflight.get(key)
         if inflight is not None:
             if not wait:
                 return {"status": "pending", "key": key}
-            result = await asyncio.shield(inflight)
+            result = await self._wait(key, inflight)
             self.stats.hits += 1
             return {"status": "hit", "key": key, **wire.encode_result(result)}
+        failure = self._failed.pop(key, None)
+        if failure is not None:
+            raise failure
         cached = self.store.load(key)
         if cached is not None:
             self.stats.disk_hits += 1
             return {"status": "hit", "key": key, **wire.encode_result(cached)}
         future = asyncio.ensure_future(self._run(key, request))
+        # The error reaches clients through _failed or _wait; mark it
+        # retrieved so an unwatched failure logs no stray traceback.
+        future.add_done_callback(
+            lambda done: done.cancelled() or done.exception()
+        )
         self._inflight[key] = future
         if not wait:
             return {"status": "pending", "key": key}
-        result = await asyncio.shield(future)
+        result = await self._wait(key, future)
         return {"status": "miss", "key": key, **wire.encode_result(result)}
 
     async def resolve_sweep(
@@ -268,34 +362,23 @@ class ServiceDaemon:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one HTTP/1.1 request (Connection: close semantics)."""
-        status, payload = 500, wire.error_body("internal error")
+        """Serve one HTTP/1.1 request (Connection: close semantics).
+
+        The request must arrive within :data:`READ_TIMEOUT_S`; an idle
+        or stalled client is closed unanswered at the deadline.
+        """
         try:
-            request_line = await reader.readline()
-            parts = request_line.decode("latin-1").split()
-            if len(parts) < 2:
-                return  # connection opened and dropped; nothing to answer
-            method, raw_path = parts[0].upper(), parts[1]
-            path = raw_path.split("?", 1)[0]
-            length = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
-                        length = -1
-            if length < 0 or length > MAX_BODY_BYTES:
-                status, payload = 413, wire.error_body(
-                    f"body must be 0..{MAX_BODY_BYTES} bytes"
+            try:
+                request = await asyncio.wait_for(
+                    _read_request(reader), READ_TIMEOUT_S
                 )
+            except _Rejected as exc:
+                status, payload = exc.status, wire.error_body(str(exc))
             else:
-                body = await reader.readexactly(length) if length else b""
+                if request is None:
+                    return  # connection opened and dropped; nothing to answer
                 try:
-                    status, payload = await self._dispatch(method, path, body)
+                    status, payload = await self._dispatch(*request)
                 except wire.WireFormatError as exc:
                     status, payload = 400, wire.error_body(str(exc))
                 except Exception as exc:
@@ -303,8 +386,12 @@ class ServiceDaemon:
                         f"internal error: {type(exc).__name__}: {exc}"
                     )
             await self._write_response(writer, status, payload)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass  # client went away mid-request; nothing to do
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            asyncio.TimeoutError,
+        ):
+            pass  # client went away, or missed the read deadline
         finally:
             with contextlib.suppress(ConnectionError):
                 writer.close()
@@ -378,7 +465,7 @@ async def _serve(
     await daemon.start(host, port)
     print(
         f"repro serve: listening on http://{host}:{daemon.port} "
-        f"(store: {store.path}, jobs: {config.jobs}, "
+        f"(store: {store.root}, jobs: {config.jobs}, "
         f"memory_engine: {config.memory_engine})",
         flush=True,
     )

@@ -154,7 +154,7 @@ def parse_sweep(payload: dict) -> tuple[list[SimRequest], bool]:
 def encode_result(result) -> dict:
     """Kind-tag and serialize one result for a response envelope.
 
-    The same kind-tagged shape the stores persist, so client-side
+    The same kind-tagged shape the result store persists, so client-side
     decoding and store decoding share one contract.
 
     Args:

@@ -71,6 +71,12 @@ class TestCli:
         assert main(args) == 0  # warm, serial: same artifact
         assert capsys.readouterr().out == cold
 
+    def test_serve_store_naming_a_file_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "results.sqlite"
+        store.write_text("not a result directory")
+        assert main(["serve", "--store", str(store)]) == 2
+        assert "not a directory" in capsys.readouterr().err
+
     def test_every_registered_experiment_is_callable(self):
         for func in EXPERIMENTS.values():
             assert callable(func)

@@ -1,6 +1,7 @@
 """Tests for the cached, parallel simulation session and result cache."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -96,15 +97,52 @@ class TestResultSerialization:
         cache.store("key1", result)
         loaded = cache.load("key1")
         assert loaded is not None
-        assert loaded.cycles == result.cycles
+        assert json.dumps(loaded.to_dict()) == json.dumps(result.to_dict())
         assert cache.load("other-key") is None
 
     def test_result_cache_rejects_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = _simulated_result()
         path = cache.store("key1", result)
-        path.write_text("{not json")
-        assert cache.load("key1") is None
+        entry = json.loads(path.read_text())
+        wrong_shape = json.dumps({**entry, "result": {"cycles": 1}})
+        for text in ("{not json", '["not a cache entry"]', wrong_shape):
+            path.write_text(text)
+            assert cache.load("key1") is None
+
+    def test_result_cache_concurrent_writer_and_readers(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        result = _simulated_result()
+        keys = [f"k{i}" for i in range(24)]
+        errors = []
+
+        def write():
+            try:
+                for key in keys:
+                    cache.store(key, result)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def read():
+            try:
+                for _ in range(3):
+                    for key in keys:
+                        loaded = cache.load(key)
+                        if loaded is not None:
+                            assert loaded.cycles == result.cycles
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write)] + [
+            threading.Thread(target=read) for _ in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert errors == []
+        assert all(cache.load(key) is not None for key in keys)
 
 
 class TestSessionMemoization:

@@ -25,7 +25,6 @@ class TestSessionConfigValidation:
         assert config.sample_steps == 32
         assert config.sim_seed == 1234
         assert config.memory_engine == "roofline"
-        assert config.workload_cache is True
 
     def test_jobs_clamped_like_legacy_constructor(self):
         assert SessionConfig(jobs=0).jobs == 1
@@ -50,11 +49,7 @@ class TestSessionConfigValidation:
             SessionConfig(memory_engine="dram")
 
     def test_paths_normalized_to_strings(self, tmp_path):
-        config = SessionConfig(
-            cache_dir=tmp_path, workload_cache=tmp_path / "wl"
-        )
-        assert config.cache_dir == str(tmp_path)
-        assert config.workload_cache == str(tmp_path / "wl")
+        assert SessionConfig(cache_dir=tmp_path).cache_dir == str(tmp_path)
 
     def test_hashable_and_frozen(self):
         config = SessionConfig()
@@ -64,21 +59,12 @@ class TestSessionConfigValidation:
 
 
 class TestWorkloadCacheSpec:
-    def test_disabled(self):
-        assert SessionConfig(workload_cache=False).workload_cache_spec is None
-
     def test_default_in_memory(self):
         assert SessionConfig().workload_cache_spec == "default"
 
     def test_follows_cache_dir(self, tmp_path):
         spec = SessionConfig(cache_dir=tmp_path).workload_cache_spec
         assert spec == str(tmp_path / "workloads")
-
-    def test_explicit_directory_wins(self, tmp_path):
-        config = SessionConfig(
-            cache_dir=tmp_path, workload_cache=tmp_path / "elsewhere"
-        )
-        assert config.workload_cache_spec == str(tmp_path / "elsewhere")
 
 
 class TestSessionConfigWireForm:
@@ -90,7 +76,6 @@ class TestSessionConfigWireForm:
             sample_steps=8,
             sim_seed=7,
             memory_engine="hierarchy",
-            workload_cache=False,
         )
         back = SessionConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
@@ -107,6 +92,9 @@ class TestSessionConfigWireForm:
     def test_unknown_field_named(self):
         with pytest.raises(WireFormatError, match="turbo"):
             SessionConfig.from_dict({"turbo": True})
+        # A retired knob is an unknown field like any other.
+        with pytest.raises(WireFormatError, match="workload_cache"):
+            SessionConfig.from_dict({"workload_cache": False})
 
     def test_foreign_schema_rejected(self):
         with pytest.raises(WireFormatError, match="schema"):

@@ -3,7 +3,9 @@
 import http.client
 import json
 import os
+import socket
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.harness.runner import (
     SimulationSession,
     execute_request,
 )
+from repro.service import daemon as daemon_module
 from repro.service import wire
 from repro.service.client import (
     ServiceClient,
@@ -33,9 +36,9 @@ QUICK = SessionConfig(sample_strips=2, sample_steps=8)
 @pytest.fixture()
 def service(tmp_path):
     """A live daemon (thread-pool mode) and its client."""
-    with ResultStore(tmp_path / "store") as store:
-        with background_daemon(QUICK, store) as (url, _thread):
-            yield ServiceClient(url), store
+    store = ResultStore(tmp_path / "store")
+    with background_daemon(QUICK, store) as (url, _thread):
+        yield ServiceClient(url), store
 
 
 def _get(url, path):
@@ -71,7 +74,23 @@ class TestSimulate:
         status, warm = client.submit("NCF")
         assert status == "hit"
         assert json.dumps(warm.to_dict()) == json.dumps(result.to_dict())
-        assert len(store) == 1
+        assert store.stats()["entries"] == 1
+
+    def test_run_cache_directory_is_served_warm(self, tmp_path):
+        """`repro run --cache D` and `repro serve --store D` share D."""
+        local = SimulationSession(
+            config=replace(QUICK, cache_dir=tmp_path)
+        ).simulate("NCF")
+        with background_daemon(QUICK, ResultStore(tmp_path)) as (url, _t):
+            client = ServiceClient(url)
+            status, remote = client.submit("NCF")
+            simulations = client.stats()["stats"]["simulations"]
+            client.simulate("SNLI")  # a daemon miss, written to D
+        assert status == "hit" and simulations == 0
+        assert json.dumps(remote.to_dict()) == json.dumps(local.to_dict())
+        reader = SimulationSession(config=replace(QUICK, cache_dir=tmp_path))
+        reader.simulate("SNLI")
+        assert reader.stats.disk_hits == 1 and reader.stats.simulations == 0
 
     def test_byte_identical_to_in_process_session(self, service):
         client, _store = service
@@ -91,9 +110,9 @@ class TestSimulate:
             sim_seed=7,
             memory_engine="hierarchy",
         )
-        with ResultStore(tmp_path / "store") as store:
-            with background_daemon(config, store) as (url, _thread):
-                remote = json.dumps(ServiceClient(url).simulate("NCF").to_dict())
+        store = ResultStore(tmp_path / "store")
+        with background_daemon(config, store) as (url, _thread):
+            remote = json.dumps(ServiceClient(url).simulate("NCF").to_dict())
         local = SimulationSession(config=config).simulate("NCF")
         quick = SimulationSession(config=QUICK).simulate("NCF")
         assert remote == json.dumps(local.to_dict())
@@ -110,7 +129,7 @@ class TestSimulate:
                 break
             time.sleep(0.2)
         assert status == "hit" and result is not None
-        assert len(store) == 1
+        assert store.stats()["entries"] == 1
 
     def test_scaleout_requests_round_trip(self, service):
         client, _store = service
@@ -125,7 +144,7 @@ class TestSweep:
         outcome = client.sweep(batch)
         assert outcome.statuses.count("miss") == 2
         assert outcome.statuses.count("hit") == 1
-        assert len(store) == 2
+        assert store.stats()["entries"] == 2
         # The duplicate rode along on one simulation and shares bytes.
         assert json.dumps(outcome.results[0].to_dict()) == json.dumps(
             outcome.results[2].to_dict()
@@ -134,7 +153,7 @@ class TestSweep:
         assert warm.statuses == ["hit", "hit", "hit"]
         assert warm.hit_fraction == 1.0
         assert warm.stats == {"hit": 3, "miss": 0, "pending": 0}
-        assert len(store) == 2  # zero new simulations
+        assert store.stats()["entries"] == 2  # zero new simulations
 
     def test_mixed_request_forms(self, service):
         client, _store = service
@@ -166,7 +185,7 @@ class TestSweep:
         assert outcome.results == [] and outcome.statuses == []
         assert outcome.stats == {"hit": 0, "miss": 0, "pending": 0}
         assert outcome.hit_fraction == 0.0
-        assert len(store) == 0  # nothing was simulated
+        assert store.stats()["entries"] == 0  # nothing was simulated
 
     def test_empty_sweep_via_in_process_api(self):
         import repro.api as api
@@ -186,9 +205,16 @@ class TestStatsAndHealth:
         body = client.stats()
         assert body["stats"]["simulations"] == 1
         assert body["stats"]["disk_hits"] + body["stats"]["hits"] >= 1
-        assert body["store"]["entries"] == len(store) == 1
+        assert body["store"] == store.stats()
+        assert body["store"]["entries"] == 1
+        assert body["store"]["stale_entries"] == 0
         assert body["config"]["sample_strips"] == 2
         assert body["versions"]["envelope_schema"] == 1
+        # Entries from another CACHE_VERSION, or unreadable, are stale.
+        (store.root / "old.json").write_text(json.dumps({"version": 0}))
+        (store.root / "torn.json").write_text("{not json")
+        assert client.stats()["store"]["stale_entries"] == 2
+        assert client.stats()["store"]["entries"] == 1
 
 
 class TestHttpErrors:
@@ -244,20 +270,99 @@ class TestFaults:
         monkeypatch.setattr(
             "repro.service.daemon.execute_request", _worker_dies_on_snli
         )
-        with ResultStore(tmp_path / "store") as store:
-            daemon = background_daemon(QUICK, store, use_processes=True)
-            with daemon as (url, _thread):
-                status, body = _post(
-                    url, "/simulate", {"request": {"model": "SNLI"}}
-                )
-                assert status == 500
-                assert "BrokenProcessPool" in body["error"]
-                status, body = _post(
-                    url, "/simulate", {"request": {"model": "NCF"}}
-                )
-            assert status == 200
-            assert body["status"] == "miss" and body["result"]
-            assert len(store) == 1
+        store = ResultStore(tmp_path / "store")
+        daemon = background_daemon(QUICK, store, use_processes=True)
+        with daemon as (url, _thread):
+            status, body = _post(
+                url, "/simulate", {"request": {"model": "SNLI"}}
+            )
+            assert status == 500
+            assert "BrokenProcessPool" in body["error"]
+            status, body = _post(
+                url, "/simulate", {"request": {"model": "NCF"}}
+            )
+        assert status == 200
+        assert body["status"] == "miss" and body["result"]
+        assert store.stats()["entries"] == 1
+
+    def test_wait_false_failure_is_reported(self, service, monkeypatch):
+        calls = []
+
+        def boom(request, config):
+            calls.append(request.model)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.service.daemon.execute_request", boom)
+        client, _store = service
+        url = f"http://{client.host}:{client.port}"
+        poll = {"request": {"model": "SNLI"}, "wait": False}
+
+        def poll_until_answered():
+            deadline = time.monotonic() + 10
+            while True:
+                status, body = _post(url, "/simulate", poll)
+                if status != 200 or body["status"] != "pending":
+                    return status, body
+                if time.monotonic() > deadline:
+                    return status, body
+                time.sleep(0.05)
+
+        assert _post(url, "/simulate", poll)[1]["status"] == "pending"
+        status, body = poll_until_answered()
+        assert status == 500 and "RuntimeError: boom" in body["error"]
+        assert len(calls) == 1  # the polls in between restarted nothing
+        # Reported once: the next poll starts a fresh simulation.
+        assert _post(url, "/simulate", poll)[1]["status"] == "pending"
+        status, body = poll_until_answered()
+        assert status == 500 and len(calls) == 2
+        # A waiting request gets its own simulation's error, as before.
+        status, body = _post(url, "/simulate", {"request": {"model": "SNLI"}})
+        assert status == 500 and "RuntimeError: boom" in body["error"]
+        assert len(calls) == 3
+
+
+def _exchange(url, data, timeout=10.0):
+    """Send raw bytes on one connection; everything read until close."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as conn:
+        conn.sendall(data)
+        chunks = []
+        while chunk := conn.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestConnectionBounds:
+    @pytest.fixture()
+    def url(self, service):
+        client, _store = service
+        return f"http://{client.host}:{client.port}"
+
+    def test_idle_and_stalled_clients_closed_at_deadline(
+        self, url, monkeypatch
+    ):
+        monkeypatch.setattr(daemon_module, "READ_TIMEOUT_S", 0.3)
+        idle = b""
+        stalled = b"POST /simulate HTTP/1.1\r\nHost: x\r\n"
+        for data in (idle, stalled):
+            started = time.monotonic()
+            # The daemon closes the connection unanswered; recv then
+            # reads EOF instead of timing out.
+            assert _exchange(url, data, timeout=3.0) == b""
+            assert time.monotonic() - started < 3.0
+
+    def test_too_many_header_lines_is_431(self, url):
+        headers = b"".join(
+            b"X-Filler-%d: x\r\n" % i for i in range(5000)
+        )
+        reply = _exchange(url, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 431 ")
+        assert b"header lines" in reply
+
+    def test_header_line_over_stream_limit_is_431(self, url):
+        line = b"X-Long: " + b"x" * 70_000 + b"\r\n"
+        reply = _exchange(url, b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n")
+        assert reply.startswith(b"HTTP/1.1 431 ")
 
 
 class TestClientErrors:
