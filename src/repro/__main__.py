@@ -16,7 +16,13 @@ All simulation-driven experiments share one
 :class:`repro.harness.runner.SimulationSession`, so ``run all`` performs
 each unique ``(model, config, progress, seed, acc_profile)`` simulation
 exactly once; ``--jobs`` fans cache misses out over worker processes and
-``--cache`` persists results on disk across invocations.
+``--cache DIR`` persists results on disk across invocations.  The nine
+experiments that take no session (the tables, Figs 1, 2, 6, 10 and 17,
+and ``memory_profile``) are cached whole under ``DIR/tables``, keyed by
+experiment id and every bound argument, so a warm run reads their
+tables instead of running them.  ``--models``, ``--nodes`` and ``--partition``
+reach each experiment that takes the matching keyword; naming one
+experiment that does not take a given flag exits 2.
 ``--memory-engine hierarchy`` prices off-chip traffic with the
 event-level memory hierarchy (container bursts, bank conflicts,
 transposer occupancy) instead of the flat roofline.
@@ -37,6 +43,7 @@ import sys
 from pathlib import Path
 
 from repro.harness import experiments
+from repro.harness.cache import ResultCache, table_key
 from repro.harness.extensions import (
     run_inference_extension,
     run_precision_schedule,
@@ -69,17 +76,49 @@ EXPERIMENTS = {
     "ext-inference": run_inference_extension,
 }
 
-# Experiments that accept a `models` keyword.
-_MODEL_AWARE = {
-    "fig1", "fig2", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "fig15", "fig16", "fig18", "fig19-20", "memory_profile", "scaleout",
-    "pragmatic", "ext-inference",
-}
+
+def _accepts(func, parameter: str) -> bool:
+    """Whether an experiment function takes the named keyword."""
+    return parameter in inspect.signature(func).parameters
 
 
 def _accepts_session(func) -> bool:
     """Whether an experiment routes simulation through a session."""
-    return "session" in inspect.signature(func).parameters
+    return _accepts(func, "session")
+
+
+def _flag_kwargs(args) -> dict:
+    """Experiment keywords, by parameter name, from the ``run`` flags
+    the user gave (``--models``, ``--nodes``, ``--partition``)."""
+    kwargs = {}
+    if args.models:
+        kwargs["models"] = tuple(args.models)
+    if args.nodes:
+        kwargs["nodes"] = tuple(args.nodes)
+    if args.partition:
+        kwargs["partition"] = args.partition
+    return kwargs
+
+
+def _table_key(name: str, func, kwargs: dict) -> str:
+    """The :func:`table_key` of ``func(**kwargs)``: the experiment id
+    plus every bound argument, defaults included."""
+    bound = inspect.signature(func).bind(**kwargs)
+    bound.apply_defaults()
+    return table_key(name, bound.arguments)
+
+
+def _run_tables(name: str, func, kwargs: dict, cache: ResultCache | None):
+    """Run a sessionless experiment, answering from ``cache`` if it can;
+    a miss runs the experiment and stores its tables."""
+    if cache is None:
+        return func(**kwargs)
+    key = _table_key(name, func, kwargs)
+    tables = cache.load(key)
+    if tables is None:
+        tables = _tables(func(**kwargs))
+        cache.store(key, tables)
+    return tables
 
 
 def _tables(result) -> tuple:
@@ -133,7 +172,7 @@ def _session_flags() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="worker processes for independent simulations (default: 1)",
     )
@@ -172,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache",
         metavar="DIR",
         default=None,
-        help="persist simulation results and workload tensors under DIR "
-        "(warm reruns; `serve --store DIR` shares the results)",
+        help="persist simulation results, experiment tables and workload "
+        "tensors under DIR (warm reruns; `serve --store DIR` shares the "
+        "simulation results)",
     )
     runner.add_argument(
         "--models",
@@ -291,6 +331,18 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    flag_kwargs = _flag_kwargs(args)
+    if args.experiment != "all":
+        # A single experiment must take every flag given; `run all`
+        # applies each flag wherever it is taken.
+        func = EXPERIMENTS[args.experiment]
+        for parameter in flag_kwargs:
+            if not _accepts(func, parameter):
+                print(
+                    f"--{parameter} does not apply to {args.experiment!r}",
+                    file=sys.stderr,
+                )
+                return 2
     for flag, value in (("--cache", args.cache), ("--out", args.out)):
         if value is not None and Path(value).exists() and not Path(value).is_dir():
             print(f"{flag} {value!r} is not a directory", file=sys.stderr)
@@ -305,21 +357,22 @@ def main(argv: list[str] | None = None) -> int:
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
+    table_cache = (
+        ResultCache(Path(args.cache) / "tables") if args.cache else None
+    )
     suffix = "json" if args.format == "json" else "txt"
     json_out = {}
     for name in names:
         func = EXPERIMENTS[name]
-        kwargs = {}
-        if args.models and name in _MODEL_AWARE:
-            kwargs["models"] = tuple(args.models)
-        if name == "scaleout":
-            if args.nodes:
-                kwargs["nodes"] = tuple(args.nodes)
-            if args.partition:
-                kwargs["partition"] = args.partition
+        kwargs = {
+            parameter: value
+            for parameter, value in flag_kwargs.items()
+            if _accepts(func, parameter)
+        }
         if _accepts_session(func):
-            kwargs["session"] = session
-        result = func(**kwargs)
+            result = func(**kwargs, session=session)
+        else:
+            result = _run_tables(name, func, kwargs, table_cache)
         if args.format == "json":
             json_out[name] = _payload(result)
         else:

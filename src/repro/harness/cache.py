@@ -1,12 +1,16 @@
-"""On-disk persistence of simulation results.
+"""On-disk persistence of simulation results and experiment tables.
 
-One file per canonical simulation key, holding the JSON round-trip of
-a :class:`repro.core.accelerator.WorkloadResult` or a
-:class:`repro.scale.ScaleOutResult` (via its ``to_dict``; a ``kind``
-tag picks the class on the way back).  Python's ``json`` emits
+One file per key, holding the JSON round-trip of a
+:class:`repro.core.accelerator.WorkloadResult`, a
+:class:`repro.scale.ScaleOutResult` or a tuple of
+:class:`repro.harness.report.Table` (via ``to_dict``; a ``kind`` tag
+picks the class on the way back).  Python's ``json`` emits
 shortest-round-trip float literals, so a loaded result is bit-identical
-to the simulated one -- warm ``run`` invocations reproduce cold ones
-exactly.
+to the computed one -- warm ``run`` invocations reproduce cold ones
+exactly.  Simulations are keyed by
+:func:`repro.harness.runner.canonical_key`; the tables of experiments
+that never reach a simulation session by :func:`table_key`, in a
+``tables/`` subdirectory of ``repro run --cache DIR``.
 
 The store is deliberately simple: content-addressed file names (SHA-256
 of the key), atomic writes via a temp file, and unreadable or stale
@@ -26,8 +30,10 @@ import tempfile
 from pathlib import Path
 
 from repro.core.accelerator import WorkloadResult
+from repro.harness.report import Table
 
-# Bump when the result schema or simulator semantics change; stale
+# Bump when the result schema or simulator semantics change, or when a
+# sessionless experiment's output changes for the same arguments; stale
 # entries from older versions then read as misses instead of poisoning
 # warm runs.
 # v2: canonical keys carry the memory engine and counters may embed a
@@ -37,8 +43,63 @@ from repro.core.accelerator import WorkloadResult
 CACHE_VERSION = 3
 
 
+def table_key(experiment: str, arguments: dict) -> str:
+    """Cache key of one sessionless experiment's tables.
+
+    Args:
+        experiment: the experiment id (``EXPERIMENTS`` name).
+        arguments: every argument of the call, defaults included (an
+            ``inspect.BoundArguments.arguments`` after
+            ``apply_defaults()``), so changing a default changes the key.
+
+    Returns:
+        A sorted-JSON string.
+
+    Raises:
+        TypeError: an argument JSON cannot serialize.
+    """
+    spec = {"experiment": experiment, "arguments": arguments}
+    return json.dumps(spec, sort_keys=True)
+
+
+def _encode(result) -> tuple[str, object]:
+    """The ``kind`` tag and JSON form of a cacheable result."""
+    if isinstance(result, WorkloadResult):
+        return "workload", result.to_dict()
+    if (
+        isinstance(result, tuple)
+        and result
+        and all(isinstance(table, Table) for table in result)
+    ):
+        return "tables", [table.to_dict() for table in result]
+    from repro.scale.scaleout import ScaleOutResult
+
+    if isinstance(result, ScaleOutResult):
+        return "scaleout", result.to_dict()
+    raise TypeError(f"cannot cache a {type(result).__name__}")
+
+
+def _decode(kind, data):
+    """Inverse of :func:`_encode` (``ValueError`` on an unknown kind)."""
+    if kind == "workload":
+        return WorkloadResult.from_dict(data)
+    if kind == "tables":
+        if not isinstance(data, list) or not data:
+            raise ValueError("tables entry is not a non-empty list")
+        return tuple(Table.from_dict(table) for table in data)
+    if kind == "scaleout":
+        from repro.scale.scaleout import ScaleOutResult
+
+        return ScaleOutResult.from_dict(data)
+    raise ValueError(f"unknown cache entry kind {kind!r}")
+
+
 class ResultCache:
-    """Directory-backed store of :class:`WorkloadResult` by canonical key.
+    """Directory-backed store of results by key.
+
+    Holds simulation results (:class:`WorkloadResult`,
+    :class:`repro.scale.ScaleOutResult`) and experiment tables (a
+    non-empty tuple of :class:`Table`).
 
     Args:
         root: cache directory (created on first store).
@@ -52,16 +113,16 @@ class ResultCache:
         digest = hashlib.sha256(key.encode()).hexdigest()[:32]
         return self.root / f"{digest}.json"
 
-    def load(self, key: str) -> WorkloadResult | None:
+    def load(self, key: str):
         """Fetch a stored result, or None on any kind of miss.
 
         Args:
-            key: canonical simulation key.
+            key: canonical simulation key or :func:`table_key`.
 
         Returns:
             The deserialized result, or None when the entry is absent,
-            unreadable, from another cache version, or keyed differently
-            (a hash collision).
+            unreadable, malformed, from another cache version, or keyed
+            differently (a hash collision).
         """
         path = self.path_for(key)
         try:
@@ -76,33 +137,33 @@ class ResultCache:
         ):
             return None
         try:
-            if payload.get("kind") == "scaleout":
-                from repro.scale.scaleout import ScaleOutResult
-
-                return ScaleOutResult.from_dict(payload["result"])
-            return WorkloadResult.from_dict(payload["result"])
+            return _decode(payload.get("kind"), payload["result"])
         except (KeyError, TypeError, ValueError):
             return None
 
-    def store(self, key: str, result: WorkloadResult) -> Path:
+    def store(self, key: str, result) -> Path:
         """Persist a result under its key (atomic replace).
 
         Args:
-            key: canonical simulation key.
-            result: the simulation outcome to store.
+            key: canonical simulation key or :func:`table_key`.
+            result: a :class:`WorkloadResult`, a
+                :class:`repro.scale.ScaleOutResult`, or a non-empty
+                tuple of :class:`Table`.
 
         Returns:
             The path written.
+
+        Raises:
+            TypeError: ``result`` is none of the cacheable types.
         """
+        kind, data = _encode(result)
         path = self.path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_VERSION,
             "key": key,
-            "kind": (
-                "workload" if isinstance(result, WorkloadResult) else "scaleout"
-            ),
-            "result": result.to_dict(),
+            "kind": kind,
+            "result": data,
         }
         text = json.dumps(payload)
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")

@@ -95,6 +95,28 @@ class Table:
             "rows": [[native(cell) for cell in row] for row in self.rows],
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "Table":
+        """Rebuild a table from its :meth:`to_dict` form.
+
+        Rows go through :meth:`add_row`, so a row whose length does not
+        match the headers raises ``ValueError``.  Attributes beyond the
+        three serialized fields (Fig 17's ``curves``) are not restored.
+        """
+        title, headers, rows = data["title"], data["headers"], data["rows"]
+        if not (
+            isinstance(title, str)
+            and isinstance(headers, list)
+            and all(isinstance(h, str) for h in headers)
+            and isinstance(rows, list)
+            and all(isinstance(row, list) for row in rows)
+        ):
+            raise ValueError("malformed table: wrong field types")
+        table = cls(title, headers)
+        for row in rows:
+            table.add_row(*row)
+        return table
+
     def show(self) -> None:
         """Print the rendered table (with a trailing blank line)."""
         print(self.render())

@@ -7,7 +7,8 @@ class has forced three ``CACHE_VERSION`` bumps already.  This rule
 statically ties the key constructors to their input surfaces:
 
 * the parameters of a key-constructor function (``canonical_key``,
-  ``workload_key``) must all appear as keys of the spec dict it builds;
+  ``workload_key``, ``table_key``) must all appear as keys of the spec
+  dict it builds;
 * the annotated fields of :class:`SimRequest` and of
   :class:`SessionConfig` (minus the documented non-key knobs:
   parallelism and cache plumbing) must appear in ``canonical_key``'s
@@ -31,7 +32,7 @@ from repro.lint.findings import Finding, Rule
 
 # Functions that build canonical keys (engagement is content-based:
 # the rule fires in any module defining one of these).
-KEY_BUILDERS = ("canonical_key", "workload_key")
+KEY_BUILDERS = ("canonical_key", "workload_key", "table_key")
 
 # Names that are *not* part of a simulation's result: the request
 # object itself (its fields are checked individually), execution

@@ -1,10 +1,29 @@
 """Tests for the command-line interface."""
 
+import functools
 import json
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS, main
+from repro.__main__ import EXPERIMENTS, _accepts_session, _table_key, main
+from repro.harness.report import Table
+
+
+def _stub(func, calls=None):
+    """A stand-in for an experiment with its signature (``functools.wraps``)
+    that records its keywords in ``calls``, or raises when ``calls`` is
+    None."""
+
+    @functools.wraps(func)
+    def stub(**kwargs):
+        if calls is None:
+            raise AssertionError(f"{func.__name__} ran; expected a cache hit")
+        calls.append(kwargs)
+        table = Table("stub", ["a"])
+        table.add_row(1)
+        return table
+
+    return stub
 
 
 class TestCli:
@@ -71,6 +90,14 @@ class TestCli:
         assert main(args) == 0  # warm, serial: same artifact
         assert capsys.readouterr().out == cold
 
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    def test_jobs_rejects_nonpositive(self, command, capsys):
+        argv = [command, "table2"] if command == "run" else [command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--jobs", "0"])
+        assert excinfo.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
     def test_serve_store_naming_a_file_exits_2(self, tmp_path, capsys):
         store = tmp_path / "results.sqlite"
         store.write_text("not a result directory")
@@ -80,6 +107,126 @@ class TestCli:
     def test_every_registered_experiment_is_callable(self):
         for func in EXPERIMENTS.values():
             assert callable(func)
+
+
+class TestFlagApplicability:
+    """A flag given for one experiment must be one it takes."""
+
+    @pytest.mark.parametrize(
+        "argv, flag, experiment",
+        [
+            (["fig17", "--models", "NCF"], "--models", "fig17"),
+            (["table2", "--models", "NCF"], "--models", "table2"),
+            (["ext-precision", "--models", "NCF"], "--models", "ext-precision"),
+            (["table2", "--nodes", "2"], "--nodes", "table2"),
+            (["fig13", "--partition", "model"], "--partition", "fig13"),
+            (
+                ["fig17", "--models", "NCF", "--nodes", "3",
+                 "--partition", "model"],
+                "--models",
+                "fig17",
+            ),
+        ],
+    )
+    def test_flag_the_experiment_does_not_take_exits_2(
+        self, argv, flag, experiment, capsys
+    ):
+        assert main(["run", *argv]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(experiment) in err
+
+    def test_models_reaches_fig21(self, monkeypatch, capsys):
+        """fig21 takes ``models``; it used to print its default models."""
+        calls = []
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig21", _stub(EXPERIMENTS["fig21"], calls)
+        )
+        assert main(["run", "fig21", "--models", "NCF"]) == 0
+        assert calls[0]["models"] == ("NCF",)
+
+    def test_run_all_applies_each_flag_where_taken(self, monkeypatch, capsys):
+        calls = {}
+        for name, func in list(EXPERIMENTS.items()):
+            calls[name] = []
+            monkeypatch.setitem(EXPERIMENTS, name, _stub(func, calls[name]))
+        argv = ["run", "all", "--models", "NCF", "--nodes", "2",
+                "--partition", "model"]
+        assert main(argv) == 0
+        for name in ("fig1", "fig11", "fig21", "memory_profile"):
+            assert calls[name][0]["models"] == ("NCF",)
+        assert calls["scaleout"][0]["nodes"] == (2,)
+        assert calls["scaleout"][0]["partition"] == "model"
+        for name in ("table1", "fig6", "fig17"):
+            assert calls[name] == [{}]
+        assert "models" not in calls["ext-precision"][0]
+
+
+SESSIONLESS = [
+    name for name, func in EXPERIMENTS.items() if not _accepts_session(func)
+]
+
+
+class TestTableCache:
+    """``run --cache DIR`` stores sessionless experiments' tables."""
+
+    def test_sessionless_experiments(self):
+        assert sorted(SESSIONLESS) == sorted(
+            ["table1", "table2", "table3", "fig1", "fig2", "fig6", "fig10",
+             "fig17", "memory_profile"]
+        )
+
+    @pytest.mark.parametrize("name", SESSIONLESS)
+    def test_default_arguments_are_keyable(self, name):
+        json.loads(_table_key(name, EXPERIMENTS[name], {}))
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_warm_run_prints_cold_bytes_without_running(
+        self, fmt, tmp_path, monkeypatch, capsys
+    ):
+        cache = tmp_path / "cache"
+        args = ["run", "fig10", "--models", "NCF", "--cache", str(cache),
+                "--format", fmt]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        monkeypatch.setitem(EXPERIMENTS, "fig10", _stub(EXPERIMENTS["fig10"]))
+        assert main(args) == 0
+        assert capsys.readouterr().out == cold
+
+    def test_other_arguments_miss(self, tmp_path, monkeypatch, capsys):
+        cache = tmp_path / "cache"
+        args = ["run", "fig10", "--cache", str(cache), "--models"]
+        assert main(args + ["NCF"]) == 0
+        calls = []
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig10", _stub(EXPERIMENTS["fig10"], calls)
+        )
+        assert main(args + ["SNLI"]) == 0
+        assert calls == [{"models": ("SNLI",)}]
+
+    def test_tables_live_in_a_subdirectory(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        for name in ("table1", "table2", "table3"):
+            assert main(["run", name, "--cache", str(cache)]) == 0
+        assert list(cache.glob("*.json")) == []
+        assert len(list((cache / "tables").glob("*.json"))) == 3
+
+    def test_key_binds_defaults(self):
+        def first(models=("NCF",), seed=0):
+            pass
+
+        def second(models=("NCF",), seed=1):
+            pass
+
+        assert _table_key("x", first, {}) != _table_key("x", second, {})
+        assert _table_key("x", first, {}) == _table_key("x", first, {"seed": 0})
+        assert _table_key("x", first, {}) != _table_key("y", first, {})
+
+    def test_key_rejects_non_json_arguments(self):
+        def experiment(option=object()):
+            pass
+
+        with pytest.raises(TypeError):
+            _table_key("x", experiment, {})
 
 
 class TestScaleoutCli:

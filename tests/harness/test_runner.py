@@ -1,6 +1,7 @@
 """Tests for the cached, parallel simulation session and result cache."""
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.core.workload import PhaseWorkload
 from repro.fp.bfloat16 import bf16_quantize
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import run_fig11_speedup, run_fig14_phases
+from repro.harness.report import Table
 from repro.harness.runner import (
     SessionConfig,
     SimRequest,
@@ -28,6 +30,16 @@ MODELS = ("NCF", "SNLI")
 
 def _quick_session(**overrides):
     return SimulationSession(config=SessionConfig(**{**QUICK, **overrides}))
+
+
+def _tables():
+    table = Table("T", ["name", "count", "value"])
+    table.add_row("a", 3, 0.1)
+    table.add_row("b", -7, math.inf)
+    table.add_row("c", 0, -0.0)
+    other = Table("U", ["x"])
+    other.add_row(1.5e-9)
+    return table, other
 
 
 def _simulated_result(seed=0):
@@ -100,15 +112,49 @@ class TestResultSerialization:
         assert json.dumps(loaded.to_dict()) == json.dumps(result.to_dict())
         assert cache.load("other-key") is None
 
+    def test_tables_round_trip(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        tables = _tables()
+        cache.store("tables", tables)
+        loaded = cache.load("tables")
+        assert isinstance(loaded, tuple) and len(loaded) == 2
+        assert [t.to_dict() for t in loaded] == [t.to_dict() for t in tables]
+        assert [t.render() for t in loaded] == [t.render() for t in tables]
+        rows = loaded[0].rows
+        assert type(rows[0][1]) is int and type(rows[0][2]) is float
+        assert rows[1][2] == math.inf
+        assert math.copysign(1.0, rows[2][2]) == -1.0
+
+    def test_store_rejects_unknown_types(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        for value in ({"cycles": 1}, (), Table("T", ["a"]), [_tables()[0]]):
+            with pytest.raises(TypeError):
+                cache.store("key", value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_result_cache_rejects_corruption(self, tmp_path):
         cache = ResultCache(tmp_path)
         result = _simulated_result()
         path = cache.store("key1", result)
         entry = json.loads(path.read_text())
         wrong_shape = json.dumps({**entry, "result": {"cycles": 1}})
-        for text in ("{not json", '["not a cache entry"]', wrong_shape):
+        unknown_kind = json.dumps({**entry, "kind": "nonsense"})
+        for text in (
+            "{not json", '["not a cache entry"]', wrong_shape, unknown_kind
+        ):
             path.write_text(text)
             assert cache.load("key1") is None
+        path = cache.store("key2", _tables())
+        entry = json.loads(path.read_text())
+        table = {"title": "T", "headers": ["a", "b"], "rows": [[1, 2]]}
+        for result in (
+            [{**table, "rows": [[1]]}],  # a short row
+            [{"title": "T", "headers": ["a", "b"]}],  # no rows
+            table,  # not a list
+            [],
+        ):
+            path.write_text(json.dumps({**entry, "result": result}))
+            assert cache.load("key2") is None
 
     def test_result_cache_concurrent_writer_and_readers(self, tmp_path):
         cache = ResultCache(tmp_path)
