@@ -3,7 +3,9 @@
 Starts a real daemon process, issues one `/simulate`, a cold `/sweep`
 over the Fig 11 models, then repeats the sweep and asserts the second
 pass is answered almost entirely (>= 90%) from the shared store with
-zero new simulations.  Checks `/stats`, stops the daemon, then runs
+zero new simulations.  Then sends one two-node scale-out `/simulate`:
+a miss whose result must equal the in-process `api.scaleout` byte for
+byte, then a hit.  Checks `/stats`, stops the daemon, then runs
 `repro run fig13 --cache` on the daemon's store directory, which must
 answer every simulation from it and add no entry.  Writes the whole
 transcript as JSON for the CI artifact upload.
@@ -166,11 +168,33 @@ def main(argv: list[str] | None = None) -> int:
                 "warm results byte-identical to cold",
             )
 
+            # The worker processes build the scale-out request's node
+            # simulator and wrap it; the answer must match in-process.
+            scaleout = api.SimRequest.make(
+                models[0], nodes=2, partition="model"
+            )
+            status, result = client.submit(scaleout)
+            expected = api.scaleout(models[0], 2, "model")
+            check(
+                "scaleout-cold",
+                status == "miss"
+                and json.dumps(result.to_dict())
+                == json.dumps(expected.to_dict()),
+                f"2-node /simulate of {models[0]} is a {status}, "
+                "equal to in-process api.scaleout",
+            )
+            status, _ = client.submit(scaleout)
+            check(
+                "scaleout-warm",
+                status == "hit",
+                f"second 2-node /simulate of {models[0]} is a {status}",
+            )
+
             stats = client.stats()
             transcript["stats"] = stats
             check(
                 "stats",
-                stats["store"]["entries"] == len(models)
+                stats["store"]["entries"] == len(models) + 1
                 and stats["store"]["stale_entries"] == 0,
                 f"store holds {stats['store']['entries']} entries",
             )

@@ -62,8 +62,15 @@ def table_key(experiment: str, arguments: dict) -> str:
     return json.dumps(spec, sort_keys=True)
 
 
-def _encode(result) -> tuple[str, object]:
-    """The ``kind`` tag and JSON form of a cacheable result."""
+def encode_tagged(result) -> tuple[str, object]:
+    """The ``kind`` tag and JSON form of a cacheable result.
+
+    The one table of result kinds: cache entries and the service's
+    response envelopes (:mod:`repro.service.wire`) both use it.
+
+    Raises:
+        TypeError: ``result`` is none of the cacheable types.
+    """
     if isinstance(result, WorkloadResult):
         return "workload", result.to_dict()
     if (
@@ -79,8 +86,10 @@ def _encode(result) -> tuple[str, object]:
     raise TypeError(f"cannot cache a {type(result).__name__}")
 
 
-def _decode(kind, data):
-    """Inverse of :func:`_encode` (``ValueError`` on an unknown kind)."""
+def decode_tagged(kind, data):
+    """Inverse of :func:`encode_tagged` (``ValueError`` on an unknown
+    kind; a malformed payload raises ``KeyError``, ``TypeError`` or
+    ``ValueError``)."""
     if kind == "workload":
         return WorkloadResult.from_dict(data)
     if kind == "tables":
@@ -91,7 +100,7 @@ def _decode(kind, data):
         from repro.scale.scaleout import ScaleOutResult
 
         return ScaleOutResult.from_dict(data)
-    raise ValueError(f"unknown cache entry kind {kind!r}")
+    raise ValueError(f"unknown result kind {kind!r}")
 
 
 class ResultCache:
@@ -137,7 +146,7 @@ class ResultCache:
         ):
             return None
         try:
-            return _decode(payload.get("kind"), payload["result"])
+            return decode_tagged(payload.get("kind"), payload["result"])
         except (KeyError, TypeError, ValueError):
             return None
 
@@ -156,7 +165,7 @@ class ResultCache:
         Raises:
             TypeError: ``result`` is none of the cacheable types.
         """
-        kind, data = _encode(result)
+        kind, data = encode_tagged(result)
         path = self.path_for(key)
         self.root.mkdir(parents=True, exist_ok=True)
         payload = {

@@ -68,7 +68,7 @@ class SimRequest:
         config: accelerator configuration (None means the paper's
             FPRaker config).
         progress: training progress in [0, 1].
-        seed: workload RNG seed.
+        seed: workload RNG seed (>= 0).
         acc_profile: per-layer accumulator widths as sorted
             ``(layer, frac_bits)`` pairs (hashable form of the dict).
         phases: training phases to build (None = all three).
@@ -214,9 +214,9 @@ class SimRequest:
                 f"got {progress!r}"
             )
         seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise WireFormatError(
-                f"field 'seed' must be an integer, got {seed!r}"
+                f"field 'seed' must be an integer >= 0, got {seed!r}"
             )
         acc_profile = data.get("acc_profile")
         profile_dict: dict[str, int] | None = None
@@ -320,7 +320,8 @@ def execute_request(
         config: the session configuration it runs under.  The sampling
             fields, ``sim_seed`` and ``memory_engine`` (FPRaker-style
             simulators only; the analytic baseline is roofline-priced
-            either way) reach the simulator, and
+            either way) reach the one simulator it builds (every
+            node's, when ``request.nodes > 1``), and
             :attr:`SessionConfig.workload_cache_spec` is forwarded to
             :func:`repro.traces.workloads.build_workloads`.
 
@@ -329,7 +330,6 @@ def execute_request(
         ``request.nodes > 1``, the aggregated
         :class:`repro.scale.ScaleOutResult`.
     """
-    accelerator = request.resolved_config()
     kwargs = {}
     if request.phases is not None:
         kwargs["phases"] = request.phases
@@ -341,26 +341,20 @@ def execute_request(
         cache=config.workload_cache_spec,
         **kwargs,
     )
-    if request.nodes > 1:
-        from repro.scale.scaleout import ScaleOutSimulator
-
-        simulator = ScaleOutSimulator(
-            accelerator,
-            nodes=request.nodes,
-            scheme=request.partition,
-            sample_strips=config.sample_strips,
-            sample_steps=config.sample_steps,
-            seed=config.sim_seed,
-            memory_engine=config.memory_engine,
-        )
-        return simulator.simulate_workload(workloads, model=request.model)
-    return simulator_for(
-        accelerator,
+    simulator = simulator_for(
+        request.resolved_config(),
         sample_strips=config.sample_strips,
         sample_steps=config.sample_steps,
         seed=config.sim_seed,
         memory_engine=config.memory_engine,
-    ).simulate_workload(workloads)
+    )
+    if request.nodes == 1:
+        return simulator.simulate_workload(workloads, model=request.model)
+    from repro.scale.scaleout import ScaleOutSimulator
+
+    return ScaleOutSimulator(
+        simulator, nodes=request.nodes, scheme=request.partition
+    ).simulate_workload(workloads, model=request.model)
 
 
 @dataclass(frozen=True)
@@ -381,7 +375,7 @@ class SessionConfig:
             (None keeps both in memory only).
         sample_strips: operand strips sampled per layer-phase.
         sample_steps: reduction groups per strip.
-        sim_seed: operand-sampling RNG seed.
+        sim_seed: operand-sampling RNG seed (>= 0).
         memory_engine: ``"roofline"`` or ``"hierarchy"``.
     """
 
@@ -407,6 +401,8 @@ class SessionConfig:
             raise ValueError(
                 f"sim_seed must be an integer, got {self.sim_seed!r}"
             )
+        if self.sim_seed < 0:
+            raise ValueError(f"sim_seed must be >= 0, got {self.sim_seed}")
         if self.memory_engine not in ("roofline", "hierarchy"):
             raise ValueError(f"unknown memory engine {self.memory_engine!r}")
         if self.cache_dir is not None:

@@ -2,8 +2,10 @@
 
 Splits one model's training-step workload across N compute nodes under
 data-, model-, or pipeline-parallel mappings, runs each node through
-the unchanged single-accelerator simulators, and prices the inter-node
-collectives through a simple link/NoC model.  See
+the single-accelerator simulator it is given
+(``ScaleOutSimulator(node, nodes, scheme)`` wraps whatever
+:func:`repro.core.simulator_for` returns, unchanged), and prices the
+inter-node collectives through a simple link/NoC model.  See
 ``docs/ARCHITECTURE.md`` for how this layer slots into the repo and
 :mod:`repro.scale.scaleout` for the N=1 bit-exactness contract.
 """
@@ -23,7 +25,6 @@ from repro.scale.partition import (
     partition_workloads,
 )
 from repro.scale.scaleout import (
-    ComputeNode,
     NodeSummary,
     ScaleOutResult,
     ScaleOutSimulator,
@@ -41,7 +42,6 @@ __all__ = [
     "NodePlan",
     "PartitionPlan",
     "partition_workloads",
-    "ComputeNode",
     "NodeSummary",
     "ScaleOutResult",
     "ScaleOutSimulator",

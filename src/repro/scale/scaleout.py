@@ -1,13 +1,14 @@
 """Multi-node scale-out simulation: partition, per-node sim, aggregate.
 
 One :class:`ScaleOutSimulator` answers "how does this accelerator scale
-to a pod?": it splits a model's :class:`PhaseWorkload` list across N
-:class:`ComputeNode`\\ s with :func:`repro.scale.partition.partition_workloads`,
-runs each node through the *unchanged* single-accelerator simulators
-(the batched strip engine and both memory engines work as-is), prices
-each node's inter-node traffic with the link/NoC model of
-:mod:`repro.scale.interconnect`, and aggregates everything into one
-:class:`ScaleOutResult`.
+to a pod?": it wraps the single-accelerator simulator every node runs
+(whatever :func:`repro.core.simulator_for` returns -- FPRaker, the
+analytic baseline or Pragmatic-FP, under either memory engine), splits
+a model's :class:`PhaseWorkload` list across N nodes with
+:func:`repro.scale.partition.partition_workloads`, runs each node's
+shard through that *unchanged* simulator, prices each node's inter-node
+traffic with the link/NoC model of :mod:`repro.scale.interconnect`, and
+aggregates everything into one :class:`ScaleOutResult`.
 
 Contracts, mirrored from the repo's engine-dispatch pattern:
 
@@ -33,49 +34,16 @@ exactly 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.core import simulator_for
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.baseline import BaselineAccelerator
-from repro.core.config import AcceleratorConfig, fpraker_paper_config
 from repro.core.stats import SimCounters
 from repro.core.workload import PhaseWorkload
 from repro.energy.model import CoreEnergy, EnergyBreakdown
 from repro.memory.dram import DRAMModel
 from repro.scale.interconnect import CommStats, LinkModel, price_comm
-from repro.scale.partition import NodePlan, partition_workloads
-
-
-@dataclass
-class ComputeNode:
-    """One compute node: a node id plus its simulator and shard.
-
-    Attributes:
-        node_id: node index in [0, nodes).
-        simulator: the single-accelerator simulator this node runs
-            (FPRaker, baseline, or Pragmatic-FP -- unchanged engines).
-        workloads: the node's layer-phase shard (empty = idle stage).
-    """
-
-    node_id: int
-    simulator: object
-    workloads: list[PhaseWorkload]
-
-    def run(self, model: str) -> WorkloadResult:
-        """Simulate this node's shard (an empty shard costs nothing).
-
-        Args:
-            model: model name for the report.
-
-        Returns:
-            The node's :class:`WorkloadResult`.
-        """
-        if not self.workloads:
-            return WorkloadResult(
-                name=self.simulator.config.name, model=model
-            )
-        return self.simulator.simulate_workload(self.workloads, model=model)
+from repro.scale.partition import SCHEMES, NodePlan, partition_workloads
 
 
 @dataclass
@@ -140,13 +108,13 @@ class NodeSummary:
         )
 
 
-def _summarize_node(
-    plan: NodePlan, result: WorkloadResult, comm: CommStats
+def _summarize(
+    node_id: int, result: WorkloadResult, comm: CommStats
 ) -> NodeSummary:
     """Fold one node's simulation result into a :class:`NodeSummary`."""
     return NodeSummary(
-        node_id=plan.node_id,
-        layer_phases=len(plan.workloads),
+        node_id=node_id,
+        layer_phases=len(result.phases),
         macs=float(result.macs),
         cycles=result.cycles,
         compute_cycles=sum(p.compute_cycles for p in result.phases),
@@ -307,17 +275,7 @@ def single_node_result(
     Returns:
         The equivalent :class:`ScaleOutResult`.
     """
-    summary = NodeSummary(
-        node_id=0,
-        layer_phases=len(result.phases),
-        macs=float(result.macs),
-        cycles=result.cycles,
-        compute_cycles=sum(p.compute_cycles for p in result.phases),
-        dram_cycles=sum(p.dram_cycles for p in result.phases),
-        counters=result.counters_total(),
-        energy=result.energy_total(),
-        comm=CommStats(),
-    )
+    summary = _summarize(0, result, CommStats())
     return _aggregate(result.name, result.model, scheme, 1, 1, [summary])
 
 
@@ -325,19 +283,13 @@ class ScaleOutSimulator:
     """Partition + per-node simulation + aggregation front end.
 
     Args:
-        config: accelerator configuration *of one node* (defaults to
-            the paper's 36-tile FPRaker; baseline and Pragmatic-FP
-            configs dispatch to their simulators through
-            :func:`repro.core.simulator_for`, as
-            :func:`repro.harness.runner.execute_request` does).
+        node: the single-accelerator simulator every node runs --
+            whatever :func:`repro.core.simulator_for` returns, so its
+            sampling settings and memory engine are already chosen.
+            Its ``config`` names the result and sets the link clock.
         nodes: compute-node count (>= 1).
         scheme: partition scheme (``"data"``, ``"model"``,
             ``"pipeline"``).
-        sample_strips: operand strips sampled per layer-phase.
-        sample_steps: reduction groups per strip.
-        seed: operand-sampling RNG seed.
-        memory_engine: ``"roofline"`` or ``"hierarchy"`` for the node
-            simulators (the baseline prices roofline either way).
 
     Links are priced by the default :class:`LinkModel` and node memory
     by the default :class:`DRAMModel`; the pipeline schedule runs
@@ -346,41 +298,38 @@ class ScaleOutSimulator:
 
     def __init__(
         self,
-        config: AcceleratorConfig | None = None,
+        node: AcceleratorSimulator | BaselineAccelerator,
         nodes: int = 1,
         scheme: str = "data",
-        sample_strips: int = 8,
-        sample_steps: int = 32,
-        seed: int = 1234,
-        memory_engine: str = "roofline",
     ) -> None:
         if nodes < 1:
             raise ValueError(f"nodes must be >= 1, got {nodes}")
-        from repro.scale.partition import SCHEMES
-
         if scheme not in SCHEMES:
             raise ValueError(
                 f"unknown partition scheme {scheme!r}; expected {SCHEMES}"
             )
-        self.config = config if config is not None else fpraker_paper_config()
+        self.node = node
         self.nodes = int(nodes)
         self.scheme = scheme
         self.link = LinkModel()
         self.dram = DRAMModel()
-        self.sample_strips = sample_strips
-        self.sample_steps = sample_steps
-        self.seed = seed
-        self.memory_engine = memory_engine
 
-    def _node_simulator(self) -> AcceleratorSimulator | BaselineAccelerator:
-        """One node's single-accelerator simulator (config dispatch)."""
-        return simulator_for(
-            self.config,
-            sample_strips=self.sample_strips,
-            sample_steps=self.sample_steps,
-            seed=self.seed,
-            memory_engine=self.memory_engine,
+    def _run_node(self, plan: NodePlan, model: str) -> NodeSummary:
+        """Simulate one node's shard and price its communication (an
+        empty shard, an idle pipeline stage, costs nothing)."""
+        if plan.workloads:
+            result = self.node.simulate_workload(plan.workloads, model=model)
+        else:
+            result = WorkloadResult(name=self.node.config.name, model=model)
+        comm = price_comm(
+            plan.comm.payload_bytes,
+            plan.comm.wire_bytes,
+            plan.comm.steps,
+            self.link,
+            self.dram,
+            self.node.config.clock_mhz,
         )
+        return _summarize(plan.node_id, result, comm)
 
     def simulate_workload(
         self, workloads: list[PhaseWorkload], model: str = ""
@@ -399,45 +348,20 @@ class ScaleOutSimulator:
             raise ValueError("empty workload list")
         model = model or workloads[0].model
         plan = partition_workloads(workloads, self.nodes, self.scheme)
-        clock = self.config.clock_mhz
-        summaries: list[NodeSummary] = []
         if plan.symmetric:
-            # Identical shards: simulate node 0, price its comm once,
-            # and replicate the summary (distinct node ids only).
-            node0 = plan.node_plans[0]
-            node = ComputeNode(0, self._node_simulator(), node0.workloads)
-            result = node.run(model)
-            comm = price_comm(
-                node0.comm.payload_bytes,
-                node0.comm.wire_bytes,
-                node0.comm.steps,
-                self.link,
-                self.dram,
-                clock,
-            )
-            template = _summarize_node(node0, result, comm)
-            for node_plan in plan.node_plans:
-                summary = NodeSummary.from_dict(template.to_dict())
-                summary.node_id = node_plan.node_id
-                summaries.append(summary)
+            # Identical shards: simulate node 0 once and give every node
+            # a copy under its own id.  The copies share node 0's
+            # counters, energy and comm objects; that is safe because
+            # nothing mutates a summary once built (_aggregate only
+            # reads them) and the disk and wire paths serialize each.
+            summary = self._run_node(plan.node_plans[0], model)
+            summaries = [
+                replace(summary, node_id=p.node_id) for p in plan.node_plans
+            ]
         else:
-            simulator = self._node_simulator()
-            for node_plan in plan.node_plans:
-                node = ComputeNode(
-                    node_plan.node_id, simulator, node_plan.workloads
-                )
-                result = node.run(model)
-                comm = price_comm(
-                    node_plan.comm.payload_bytes,
-                    node_plan.comm.wire_bytes,
-                    node_plan.comm.steps,
-                    self.link,
-                    self.dram,
-                    clock,
-                )
-                summaries.append(_summarize_node(node_plan, result, comm))
+            summaries = [self._run_node(p, model) for p in plan.node_plans]
         return _aggregate(
-            self.config.name,
+            self.node.config.name,
             model,
             self.scheme,
             self.nodes,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 
-from repro.core.accelerator import WorkloadResult
+from repro.harness.cache import decode_tagged, encode_tagged
 from repro.harness.runner import SimRequest, WireFormatError
 
 # The envelope schema version (rides next to SimRequest's own
@@ -154,24 +154,29 @@ def parse_sweep(payload: dict) -> tuple[list[SimRequest], bool]:
 def encode_result(result) -> dict:
     """Kind-tag and serialize one result for a response envelope.
 
-    The same kind-tagged shape the result store persists, so client-side
-    decoding and store decoding share one contract.
+    Delegates to :func:`repro.harness.cache.encode_tagged`, the kind
+    table the result store persists with, so client-side decoding and
+    store decoding share one contract.
 
     Args:
         result: a :class:`WorkloadResult` or ``ScaleOutResult``.
 
     Returns:
         ``{"kind": ..., "result": ...}``.
+
+    Raises:
+        TypeError: ``result`` is a type the store cannot hold either.
     """
-    kind = "workload" if isinstance(result, WorkloadResult) else "scaleout"
-    return {"kind": kind, "result": result.to_dict()}
+    kind, data = encode_tagged(result)
+    return {"kind": kind, "result": data}
 
 
 def decode_result(kind: str, data: dict):
     """Deserialize a response envelope's result by its kind tag.
 
     Args:
-        kind: ``"workload"`` or ``"scaleout"``.
+        kind: ``"workload"`` or ``"scaleout"`` (``"tables"`` decodes
+            too, though the daemon never sends one).
         data: the ``result`` object of the envelope.
 
     Returns:
@@ -181,17 +186,9 @@ def decode_result(kind: str, data: dict):
         WireFormatError: on an unknown kind tag or malformed payload.
     """
     try:
-        if kind == "scaleout":
-            from repro.scale.scaleout import ScaleOutResult
-
-            return ScaleOutResult.from_dict(data)
-        if kind == "workload":
-            return WorkloadResult.from_dict(data)
+        return decode_tagged(kind, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed {kind} result payload: {exc}")
-    raise WireFormatError(
-        f"unknown result kind {kind!r}; expected 'workload' or 'scaleout'"
-    )
 
 
 def error_body(message: str) -> dict:

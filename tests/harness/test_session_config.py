@@ -44,6 +44,13 @@ class TestSessionConfigValidation:
         with pytest.raises(ValueError, match="sim_seed"):
             SessionConfig(sim_seed="lucky")
 
+    def test_sim_seed_must_be_non_negative(self):
+        # numpy's default_rng rejects a negative seed only at the first
+        # simulation; the config rejects it up front.
+        with pytest.raises(ValueError, match="sim_seed"):
+            SessionConfig(sim_seed=-5)
+        assert SessionConfig(sim_seed=0).sim_seed == 0
+
     def test_memory_engine_message_matches_legacy(self):
         with pytest.raises(ValueError, match="unknown memory engine 'dram'"):
             SessionConfig(memory_engine="dram")

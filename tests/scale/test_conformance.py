@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import simulator_for
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
 from repro.core.config import (
@@ -28,6 +29,13 @@ from repro.scale.scaleout import ScaleOutSimulator, single_node_result
 from repro.traces.workloads import build_workloads
 
 FAST = dict(sample_strips=2, sample_steps=8)
+
+
+def _node(config, sample_strips=2, sample_steps=8, memory_engine="roofline"):
+    """The node simulator a session builds for ``config``."""
+    return simulator_for(
+        config, sample_strips, sample_steps, 1234, memory_engine
+    )
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +66,7 @@ class TestSingleNodeConformance:
             fpraker_paper_config(), **FAST
         ).simulate_workload(ncf_workloads, model="NCF")
         scale = ScaleOutSimulator(
-            fpraker_paper_config(), nodes=1, scheme=scheme, **FAST
+            _node(fpraker_paper_config()), nodes=1, scheme=scheme
         ).simulate_workload(ncf_workloads, model="NCF")
         _assert_matches(scale, single)
 
@@ -68,7 +76,7 @@ class TestSingleNodeConformance:
             baseline_paper_config()
         ).simulate_workload(ncf_workloads)
         scale = ScaleOutSimulator(
-            baseline_paper_config(), nodes=1, scheme=scheme, **FAST
+            _node(baseline_paper_config()), nodes=1, scheme=scheme
         ).simulate_workload(ncf_workloads, model="NCF")
         _assert_matches(scale, single)
 
@@ -77,7 +85,7 @@ class TestSingleNodeConformance:
             pragmatic_paper_config(), **FAST
         ).simulate_workload(ncf_workloads, model="NCF")
         scale = ScaleOutSimulator(
-            pragmatic_paper_config(), nodes=1, scheme="data", **FAST
+            _node(pragmatic_paper_config()), nodes=1, scheme="data"
         ).simulate_workload(ncf_workloads, model="NCF")
         _assert_matches(scale, single)
 
@@ -86,11 +94,9 @@ class TestSingleNodeConformance:
             fpraker_paper_config(), memory_engine="hierarchy", **FAST
         ).simulate_workload(ncf_workloads, model="NCF")
         scale = ScaleOutSimulator(
-            fpraker_paper_config(),
+            _node(fpraker_paper_config(), memory_engine="hierarchy"),
             nodes=1,
             scheme="model",
-            memory_engine="hierarchy",
-            **FAST,
         ).simulate_workload(ncf_workloads, model="NCF")
         _assert_matches(scale, single)
 
@@ -148,11 +154,9 @@ class TestSingleNodeProperty:
             fpraker_paper_config(), sample_strips=1, sample_steps=4
         ).simulate_workload(workloads, model="prop")
         scale = ScaleOutSimulator(
-            fpraker_paper_config(),
+            _node(fpraker_paper_config(), sample_strips=1, sample_steps=4),
             nodes=1,
             scheme=scheme,
-            sample_strips=1,
-            sample_steps=4,
         ).simulate_workload(workloads, model="prop")
         _assert_matches(scale, single)
 
@@ -166,11 +170,9 @@ class TestSingleNodeProperty:
         """N>1 aggregates stay finite, positive, and serializable."""
         workloads = _random_workloads(seed, 3, 0.4)
         result = ScaleOutSimulator(
-            fpraker_paper_config(),
+            _node(fpraker_paper_config(), sample_strips=1, sample_steps=4),
             nodes=nodes,
             scheme=scheme,
-            sample_strips=1,
-            sample_steps=4,
         ).simulate_workload(workloads, model="prop")
         assert result.nodes == nodes
         assert len(result.node_summaries) == nodes
@@ -184,7 +186,7 @@ class TestMultiNodeBehavior:
     def test_data_parallel_speeds_up(self, ncf_workloads):
         runs = {
             n: ScaleOutSimulator(
-                fpraker_paper_config(), nodes=n, scheme="data", **FAST
+                _node(fpraker_paper_config()), nodes=n, scheme="data"
             ).simulate_workload(ncf_workloads, model="NCF")
             for n in (1, 2, 4)
         }
@@ -209,7 +211,7 @@ class TestMultiNodeBehavior:
         for scheme in ("data", "model"):
             calls.clear()
             result = ScaleOutSimulator(
-                fpraker_paper_config(), nodes=8, scheme=scheme, **FAST
+                _node(fpraker_paper_config()), nodes=8, scheme=scheme
             ).simulate_workload(ncf_workloads, model="NCF")
             assert len(calls) == 1
             dicts = [s.to_dict() for s in result.node_summaries]
@@ -219,14 +221,14 @@ class TestMultiNodeBehavior:
             assert all(entry == dicts[0] for entry in dicts)
         calls.clear()
         result = ScaleOutSimulator(
-            fpraker_paper_config(), nodes=4, scheme="pipeline", **FAST
+            _node(fpraker_paper_config()), nodes=4, scheme="pipeline"
         ).simulate_workload(ncf_workloads, model="NCF")
         stages = [s for s in result.node_summaries if s.layer_phases]
         assert len(calls) == len(stages)
 
     def test_comm_priced_only_above_one_node(self, ncf_workloads):
         n4 = ScaleOutSimulator(
-            fpraker_paper_config(), nodes=4, scheme="data", **FAST
+            _node(fpraker_paper_config()), nodes=4, scheme="data"
         ).simulate_workload(ncf_workloads, model="NCF")
         assert n4.comm_cycles > 0.0
         assert n4.link_energy_nj > 0.0
@@ -234,7 +236,7 @@ class TestMultiNodeBehavior:
     def test_pipeline_idle_stages_cost_nothing(self):
         workloads = _random_workloads(11, 2, 0.3)
         result = ScaleOutSimulator(
-            fpraker_paper_config(), nodes=4, scheme="pipeline", **FAST
+            _node(fpraker_paper_config()), nodes=4, scheme="pipeline"
         ).simulate_workload(workloads, model="prop")
         idle = [s for s in result.node_summaries if s.layer_phases == 0]
         assert idle
@@ -243,9 +245,10 @@ class TestMultiNodeBehavior:
             assert summary.macs == 0.0
 
     def test_invalid_arguments_rejected(self):
+        node = _node(fpraker_paper_config())
         with pytest.raises(ValueError, match="nodes"):
-            ScaleOutSimulator(nodes=0)
+            ScaleOutSimulator(node, nodes=0)
         with pytest.raises(ValueError, match="scheme"):
-            ScaleOutSimulator(scheme="torus")
+            ScaleOutSimulator(node, scheme="torus")
         with pytest.raises(ValueError, match="empty"):
-            ScaleOutSimulator(nodes=2).simulate_workload([])
+            ScaleOutSimulator(node, nodes=2).simulate_workload([])

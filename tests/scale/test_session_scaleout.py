@@ -2,6 +2,14 @@
 
 from dataclasses import replace
 
+import pytest
+
+from repro.core import simulator_for
+from repro.core.config import (
+    baseline_paper_config,
+    fpraker_paper_config,
+    pragmatic_paper_config,
+)
 from repro.harness.cache import CACHE_VERSION, ResultCache
 from repro.harness.runner import (
     SessionConfig,
@@ -9,7 +17,8 @@ from repro.harness.runner import (
     SimulationSession,
     canonical_key,
 )
-from repro.scale.scaleout import ScaleOutResult
+from repro.scale.scaleout import ScaleOutResult, ScaleOutSimulator
+from repro.traces.workloads import build_workloads
 
 FAST = SessionConfig(sample_strips=2, sample_steps=8)
 
@@ -71,6 +80,36 @@ class TestSessionScaleout:
         assert session.stats.simulations == 2
         session.scaleout("NCF", 2, "data")
         assert session.stats.simulations == 2
+
+
+class TestEveryNodeSimulator:
+    """The session's sampling settings and memory engine reach the node
+    simulator a multi-node request wraps, for each of the three."""
+
+    @pytest.mark.parametrize("engine", ["roofline", "hierarchy"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            fpraker_paper_config(),
+            baseline_paper_config(),
+            pragmatic_paper_config(),
+        ],
+        ids=lambda config: config.name,
+    )
+    def test_session_matches_wrapped_node(self, config, engine):
+        session = SimulationSession(
+            config=replace(FAST, memory_engine=engine)
+        )
+        result = session.scaleout("NCF", 2, "model", config)
+        node = simulator_for(config, 2, 8, 1234, engine)
+        expected = ScaleOutSimulator(
+            node, nodes=2, scheme="model"
+        ).simulate_workload(build_workloads("NCF"), model="NCF")
+        assert result.to_dict() == expected.to_dict()
+        assert result.name == config.name
+        # The analytic baseline prices memory by roofline either way.
+        priced = engine == "hierarchy" and config.name != "baseline"
+        assert (result.counters.memory is not None) == priced
 
 
 class TestDiskCache:

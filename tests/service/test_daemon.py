@@ -241,6 +241,15 @@ class TestHttpErrors:
         )
         assert status == 400 and "progress" in body["error"]
 
+    def test_negative_seed_is_400_not_500(self, url):
+        # numpy's RNG rejects a negative seed only inside the
+        # simulation, as a 500 every retry would repeat; validation
+        # must refuse it first.
+        status, body = _post(
+            url, "/simulate", {"request": {"model": "NCF", "seed": -1}}
+        )
+        assert status == 400 and "seed" in body["error"]
+
     def test_client_surfaces_daemon_error(self, url):
         # A malformed sweep entry reaches the daemon over the raw
         # transport (the public sweep() validates client-side first);

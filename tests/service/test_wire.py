@@ -5,11 +5,14 @@ import json
 import pytest
 
 from repro.core.config import baseline_paper_config, fpraker_paper_config
+from repro.harness.report import Table
 from repro.harness.runner import (
+    SessionConfig,
     SimRequest,
     WIRE_SCHEMA_VERSION,
     WireFormatError,
     canonical_key,
+    execute_request,
 )
 from repro.service import wire
 
@@ -67,6 +70,7 @@ class TestSimRequestWireForm:
             ({"acc_profile": [["fc"]]}, "acc_profile"),
             ({"nodes": 0}, "nodes"),
             ({"partition": "diagonal"}, "partition"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
@@ -157,6 +161,32 @@ class TestResultEncoding:
     def test_malformed_payload_rejected(self):
         with pytest.raises(WireFormatError, match="malformed"):
             wire.decode_result("workload", {"cycles": 1})
+
+    @pytest.mark.parametrize(
+        "nodes,kind", [(1, "workload"), (2, "scaleout")]
+    )
+    def test_result_round_trips(self, nodes, kind):
+        result = execute_request(
+            SimRequest.make("NCF", nodes=nodes, partition="model"),
+            SessionConfig(sample_strips=2, sample_steps=8),
+        )
+        envelope = json.loads(json.dumps(wire.encode_result(result)))
+        assert envelope["kind"] == kind
+        back = wire.decode_result(envelope["kind"], envelope["result"])
+        assert type(back) is type(result)
+        assert json.dumps(back.to_dict()) == json.dumps(result.to_dict())
+
+    def test_tables_decode(self):
+        table = Table("t", ["a"], [[1]])
+        envelope = wire.encode_result((table,))
+        assert envelope["kind"] == "tables"
+        assert wire.decode_result("tables", envelope["result"]) == (table,)
+
+    def test_bare_table_is_rejected(self):
+        # Only a non-empty tuple of tables is a storable result, so the
+        # wire must refuse a bare Table rather than mislabel it.
+        with pytest.raises(TypeError, match="Table"):
+            wire.encode_result(Table("t", ["a"]))
 
     def test_error_body_shape(self):
         body = wire.error_body("boom")
