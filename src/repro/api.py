@@ -20,8 +20,8 @@ Typical use::
     remote.simulate("NCF")                            # same answer
 
 Everything exported here is covered by the wire-schema versioning rules
-in ``docs/SERVICE.md``; the lint gate (RPR007) pins this module's
-``__all__`` to the documented surface.
+in ``docs/SERVICE.md``, and ``__all__`` names exactly the entries of
+its Public API table (``tests/docs/test_facade.py`` checks both lists).
 """
 
 from __future__ import annotations

@@ -30,6 +30,14 @@ from typing import Any, Callable, Mapping
 from repro.fp.accumulator import AccumulatorSpec
 
 
+def _require_at_least_one(config: object, *names: str) -> None:
+    """Raise ``ValueError`` naming the first field below 1."""
+    for name in names:
+        value = getattr(config, name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PEConfig:
     """FPRaker processing-element parameters.
@@ -61,6 +69,10 @@ class PEConfig:
     exponent_sharing: int = 2
     saturate_shifts: bool = True
 
+    def __post_init__(self) -> None:
+        """Reject a PE without MAC lanes."""
+        _require_at_least_one(self, "lanes")
+
     @property
     def min_group_cycles(self) -> int:
         """Minimum cycles per group of 8 A values (exponent-block bound)."""
@@ -89,6 +101,10 @@ class TileConfig:
     cols: int = 8
     buffer_depth: int = 2
     pe: PEConfig = field(default_factory=PEConfig)
+
+    def __post_init__(self) -> None:
+        """Reject an empty PE grid."""
+        _require_at_least_one(self, "rows", "cols")
 
     @property
     def pes(self) -> int:
@@ -122,6 +138,17 @@ class AcceleratorConfig:
     clock_mhz: float = 600.0
     serial_side_selection: str = "auto"
     base_delta_compression: bool = True
+
+    def __post_init__(self) -> None:
+        """Reject a configuration no simulator can run."""
+        _require_at_least_one(self, "tiles")
+        if not self.clock_mhz > 0:
+            raise ValueError(f"clock_mhz must be > 0, got {self.clock_mhz!r}")
+        if self.serial_side_selection not in ("auto", "a", "b"):
+            raise ValueError(
+                "serial_side_selection must be 'auto', 'a' or 'b', got "
+                f"{self.serial_side_selection!r}"
+            )
 
     @property
     def total_pes(self) -> int:

@@ -38,6 +38,7 @@ from repro.core.config import (
     pragmatic_paper_config,
 )
 from repro.harness.cache import ResultCache
+from repro.models import MODEL_ZOO
 from repro.traces.workloads import build_workloads
 
 # Version of SimRequest's public wire form (``to_dict``/``from_dict``).
@@ -196,6 +197,11 @@ class SimRequest:
             raise WireFormatError(
                 "field 'model' is required and must be a non-empty "
                 "Table-I model name string"
+            )
+        if model not in MODEL_ZOO:
+            raise WireFormatError(
+                f"field 'model' names unknown model {model!r}; known "
+                f"models: {', '.join(sorted(MODEL_ZOO))}"
             )
         config = data.get("config")
         if config is not None:

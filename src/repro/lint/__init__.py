@@ -1,13 +1,13 @@
 """Static checks of the repo's reproducibility contracts.
 
-Every perf layer of this codebase rests on invariants that were only
-checked dynamically until now: fast paths must stay bit-exact against
-their retained serial references, every result-affecting knob must be
-part of a :class:`repro.harness.runner.SimulationSession` canonical
-cache key, ``to_dict``/``from_dict`` pairs must round-trip byte-stably,
-and emitted artifacts must be deterministic.  This package is the
-static half of that contract: seven ``ast``-based rules that the
-tier-1 tests in ``tests/lint/`` run over ``src/repro``.
+Three ``ast``-based rules guard code paths that a test may never
+execute: unseeded randomness or wall-clock input (RPR001), dispatch
+literals that drift from the registered knob sets (RPR004), and set or
+directory order leaking into artifacts (RPR005).  The tier-1 tests in
+``tests/lint/`` run them over ``src/repro``.  The contracts a test can
+check by running the code -- cache-key completeness, serialization
+round trips, docstring coverage and the public facade -- are tests
+(``tests/harness/test_contracts.py`` and ``tests/docs/``), not rules.
 
 Layout:
 

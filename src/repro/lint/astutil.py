@@ -95,97 +95,3 @@ def str_sequence(node: ast.AST) -> tuple[str, ...] | None:
     if any(v is None for v in values):
         return None
     return tuple(v for v in values if v is not None)
-
-
-def class_string_constants(classdef: ast.ClassDef) -> dict[str, tuple[str, ...]]:
-    """Class-body assignments of string tuples (``FIELDS = (...)``)."""
-    constants: dict[str, tuple[str, ...]] = {}
-    for stmt in classdef.body:
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            values = str_sequence(stmt.value)
-            if isinstance(target, ast.Name) and values is not None:
-                constants[target.id] = values
-    return constants
-
-
-def is_dataclass(classdef: ast.ClassDef) -> bool:
-    """Whether a class carries a ``@dataclass`` decorator."""
-    for deco in classdef.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        if terminal_name(target) == "dataclass":
-            return True
-    return False
-
-
-def dataclass_fields(classdef: ast.ClassDef) -> list[str]:
-    """Public field names of a dataclass body (annotated assignments).
-
-    ``ClassVar`` annotations and leading-underscore names are excluded:
-    neither is part of the serialized surface.
-    """
-    fields: list[str] = []
-    for stmt in classdef.body:
-        if not isinstance(stmt, ast.AnnAssign):
-            continue
-        if not isinstance(stmt.target, ast.Name):
-            continue
-        name = stmt.target.id
-        if name.startswith("_"):
-            continue
-        annotation = ast.dump(stmt.annotation)
-        if "ClassVar" in annotation:
-            continue
-        fields.append(name)
-    return fields
-
-
-def methods_of(classdef: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    """Directly-defined methods of a class body, by name."""
-    return {
-        stmt.name: stmt
-        for stmt in classdef.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def param_names(func: ast.FunctionDef) -> list[str]:
-    """All named parameters of a function (positional and keyword)."""
-    args = func.args
-    return [
-        a.arg
-        for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
-    ]
-
-
-def resolved_comp_keys(
-    comp: ast.DictComp, classdef: ast.ClassDef, classname_aliases: set[str]
-) -> tuple[str, ...] | None:
-    """Keys of a ``{name: ... for name in self.FIELDS}`` comprehension.
-
-    Resolves the iterated class constant from the class body so rules
-    can treat the pattern as if the keys were written out literally.
-
-    Args:
-        comp: the dict comprehension.
-        classdef: the enclosing class.
-        classname_aliases: names the class is reachable under inside
-            its own methods (``self``, ``cls``, the class name).
-
-    Returns:
-        The key tuple, or None when the pattern does not match.
-    """
-    if len(comp.generators) != 1:
-        return None
-    gen = comp.generators[0]
-    if not isinstance(gen.target, ast.Name):
-        return None
-    if not isinstance(comp.key, ast.Name) or comp.key.id != gen.target.id:
-        return None
-    it = gen.iter
-    if not isinstance(it, ast.Attribute):
-        return None
-    root = it.value
-    if not (isinstance(root, ast.Name) and root.id in classname_aliases):
-        return None
-    return class_string_constants(classdef).get(it.attr)

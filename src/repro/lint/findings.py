@@ -53,7 +53,7 @@ class Rule:
 
         Args:
             tree: the file's parsed module.
-            path: the file's path (package-scoped rules read it).
+            path: the file's path.
         """
         raise NotImplementedError
 

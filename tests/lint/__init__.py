@@ -1,4 +1,4 @@
-"""Tests of the seven RPR contract rules (:mod:`repro.lint.rules`).
+"""Tests of the three RPR contract rules (:mod:`repro.lint.rules`).
 
 :func:`run_rules` is the whole runner: it parses each ``.py`` file
 once and hands the tree to every selected rule.

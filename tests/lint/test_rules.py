@@ -14,12 +14,8 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # (code, trigger path, clean path, source lines of the trigger findings)
 CASES = [
     ("RPR001", "rpr001_trigger.py", "rpr001_clean.py", [11, 12, 13, 14]),
-    ("RPR002", "rpr002_trigger.py", "rpr002_clean.py", [22, 22, 22, 22, 28]),
-    ("RPR003", "rpr003_trigger.py", "rpr003_clean.py", [14, 14, 19, 19, 19]),
     ("RPR004", "rpr004_trigger.py", "rpr004_clean.py", [3, 8, 10, 12, 23]),
     ("RPR005", "rpr005_trigger.py", "rpr005_clean.py", [8, 9, 11, 12]),
-    ("RPR006", "rpr006/trigger", "rpr006/clean", [1, 4, 6, 10]),
-    ("RPR007", "rpr007/trigger", "rpr007/clean", [35, 35, 35, 35]),
 ]
 
 

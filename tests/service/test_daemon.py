@@ -250,6 +250,12 @@ class TestHttpErrors:
         )
         assert status == 400 and "seed" in body["error"]
 
+    def test_unknown_model_is_400_not_500(self, url):
+        status, body = _post(
+            url, "/simulate", {"request": {"model": "Nope"}}
+        )
+        assert status == 400 and "model" in body["error"]
+
     def test_client_surfaces_daemon_error(self, url):
         # A malformed sweep entry reaches the daemon over the raw
         # transport (the public sweep() validates client-side first);
@@ -406,7 +412,9 @@ class TestClientErrors:
         thread = threading.Thread(target=_accept, daemon=True)
         thread.start()
         try:
-            client = ServiceClient(f"http://127.0.0.1:{port}", timeout=0.5)
+            client = ServiceClient(
+                f"http://127.0.0.1:{port}", timeout=0.5, poll_timeout=0.5
+            )
             with pytest.raises(
                 ServiceTimeoutError, match=f"127.0.0.1:{port}"
             ):

@@ -71,6 +71,15 @@ class TestSimRequestWireForm:
             ({"nodes": 0}, "nodes"),
             ({"partition": "diagonal"}, "partition"),
             ({"seed": -1}, "seed"),
+            ({"model": "Nope"}, "model"),
+            ({"config": {"tiles": 0}}, "tiles"),
+            ({"config": {"tile": {"cols": 0}}}, "cols"),
+            ({"config": {"tile": {"pe": {"lanes": 0}}}}, "lanes"),
+            ({"config": {"clock_mhz": -5}}, "clock_mhz"),
+            (
+                {"config": {"serial_side_selection": "x"}},
+                "serial_side_selection",
+            ),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
