@@ -5,7 +5,10 @@ over the Fig 11 models, then repeats the sweep and asserts the second
 pass is answered almost entirely (>= 90%) from the shared store with
 zero new simulations.  Then sends one two-node scale-out `/simulate`:
 a miss whose result must equal the in-process `api.scaleout` byte for
-byte, then a hit.  Checks `/stats`, stops the daemon, then runs
+byte, then a hit.  An envelope that still sends `"wait": false` must
+answer 400 naming `wait`, and two threads sending one cold `/simulate`
+at once must cost exactly one simulation and get the same result.
+Checks `/stats`, stops the daemon, then runs
 `repro run fig13 --cache` on the daemon's store directory, which must
 answer every simulation from it and add no entry.  Writes the whole
 transcript as JSON for the CI artifact upload.
@@ -19,12 +22,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import signal
 import socket
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -34,6 +39,17 @@ def _free_port() -> int:
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         return probe.getsockname()[1]
+
+
+def _post(port: int, path: str, body: dict) -> tuple[int, dict]:
+    """One raw POST to the daemon: (HTTP status, parsed body)."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
+    try:
+        connection.request("POST", path, json.dumps(body))
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
 
 
 def _start_daemon(store: Path, port: int, jobs: int) -> subprocess.Popen:
@@ -190,11 +206,51 @@ def main(argv: list[str] | None = None) -> int:
                 f"second 2-node /simulate of {models[0]} is a {status}",
             )
 
+            status, body = _post(
+                port,
+                "/simulate",
+                {"request": {"model": models[0]}, "wait": False},
+            )
+            check(
+                "wait-rejected",
+                status == 400 and "'wait'" in body.get("error", ""),
+                f"a /simulate envelope with \"wait\": false answers {status}",
+            )
+
+            # A key no earlier check asked for: the second request
+            # either coalesces onto the first or hits the store.
+            fresh = {"request": {"model": models[0], "seed": 1}}
+            before = client.stats()["stats"]["simulations"]
+            answers: list = [None, None]
+
+            def send(index: int) -> None:
+                answers[index] = _post(port, "/simulate", fresh)
+
+            threads = [
+                threading.Thread(target=send, args=(i,)) for i in range(2)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            grew = client.stats()["stats"]["simulations"] - before
+            (status_a, body_a), (status_b, body_b) = answers
+            check(
+                "concurrent",
+                status_a == status_b == 200
+                and grew == 1
+                and json.dumps(body_a["result"])
+                == json.dumps(body_b["result"]),
+                f"two concurrent cold /simulate answered {status_a} "
+                f"({body_a.get('status')}) and {status_b} "
+                f"({body_b.get('status')}) with {grew} new simulation(s)",
+            )
+
             stats = client.stats()
             transcript["stats"] = stats
             check(
                 "stats",
-                stats["store"]["entries"] == len(models) + 1
+                stats["store"]["entries"] == len(models) + 2
                 and stats["store"]["stale_entries"] == 0,
                 f"store holds {stats['store']['entries']} entries",
             )

@@ -159,6 +159,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    """Argparse type for a TCP port (0 picks a free one)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be in 0..65535, got {value}")
+    return value
+
+
 def _session_flags() -> argparse.ArgumentParser:
     """Parent parser of the session flags ``run`` and ``serve`` share.
 
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument(
         "--port",
-        type=int,
+        type=_port,
         default=8177,
         help="TCP port to listen on (default: 8177)",
     )

@@ -27,15 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Mapping
 
-from repro.fp.accumulator import AccumulatorSpec
-
-
-def _require_at_least_one(config: object, *names: str) -> None:
-    """Raise ``ValueError`` naming the first field below 1."""
-    for name in names:
-        value = getattr(config, name)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+from repro.fp.accumulator import AccumulatorSpec, check_config_fields
 
 
 @dataclass(frozen=True)
@@ -70,8 +62,9 @@ class PEConfig:
     saturate_shifts: bool = True
 
     def __post_init__(self) -> None:
-        """Reject a PE without MAC lanes."""
-        _require_at_least_one(self, "lanes")
+        """Reject a mistyped field, a PE without MAC lanes, or a
+        negative shift window."""
+        check_config_fields(self, lanes=1, shift_window=0)
 
     @property
     def min_group_cycles(self) -> int:
@@ -103,8 +96,9 @@ class TileConfig:
     pe: PEConfig = field(default_factory=PEConfig)
 
     def __post_init__(self) -> None:
-        """Reject an empty PE grid."""
-        _require_at_least_one(self, "rows", "cols")
+        """Reject a mistyped field, an empty PE grid, or a negative
+        buffer depth."""
+        check_config_fields(self, rows=1, cols=1, buffer_depth=0)
 
     @property
     def pes(self) -> int:
@@ -141,7 +135,7 @@ class AcceleratorConfig:
 
     def __post_init__(self) -> None:
         """Reject a configuration no simulator can run."""
-        _require_at_least_one(self, "tiles")
+        check_config_fields(self, tiles=1)
         if not self.clock_mhz > 0:
             raise ValueError(f"clock_mhz must be > 0, got {self.clock_mhz!r}")
         if self.serial_side_selection not in ("auto", "a", "b"):

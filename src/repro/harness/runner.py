@@ -50,6 +50,11 @@ WIRE_SCHEMA_VERSION = 1
 # Training phases a request may name, in canonical order.
 _KNOWN_PHASES = ("AxW", "GxW", "AxG")
 
+# The configuration of a request that names none.  Configs are frozen,
+# so one instance serves every key computation instead of a validated
+# rebuild per call.
+_PAPER_CONFIG = fpraker_paper_config()
+
 
 class WireFormatError(ValueError):
     """A wire-format payload failed validation.
@@ -118,7 +123,7 @@ class SimRequest:
 
     def resolved_config(self) -> AcceleratorConfig:
         """The effective configuration (None -> paper FPRaker)."""
-        return self.config if self.config is not None else fpraker_paper_config()
+        return self.config if self.config is not None else _PAPER_CONFIG
 
     # -- public wire format ------------------------------------------------
 
@@ -233,12 +238,13 @@ class SimRequest:
                 and isinstance(pair[0], str)
                 and isinstance(pair[1], int)
                 and not isinstance(pair[1], bool)
+                and pair[1] >= 0
                 for pair in acc_profile
             ):
                 raise WireFormatError(
                     "field 'acc_profile' must be null or a list of "
-                    "[layer_name, frac_bits] pairs, got "
-                    f"{acc_profile!r}"
+                    "[layer_name, frac_bits] pairs with frac_bits >= 0, "
+                    f"got {acc_profile!r}"
                 )
             profile_dict = dict(acc_profile)
         phases = data.get("phases")
@@ -275,17 +281,14 @@ class SimRequest:
         )
 
 
-def canonical_key(
-    request: SimRequest,
-    sample_strips: int,
-    sample_steps: int,
-    sim_seed: int,
-    memory_engine: str = "roofline",
-) -> str:
+def canonical_key(request: SimRequest, config: SessionConfig) -> str:
     """Stable string key identifying a simulation's full input set.
 
-    Two requests that resolve to the same configuration (e.g. ``None``
-    and an explicitly-constructed paper config) share a key; any change
+    The one place that names which :class:`SessionConfig` fields key a
+    result: the sampling fields, ``sim_seed`` and ``memory_engine``
+    (``jobs`` and ``cache_dir`` never change one).  Two requests that
+    resolve to the same configuration (e.g. ``None`` and an
+    explicitly-constructed paper config) share a key; any change
     to the config tree, the workload parameters, the sampling setup, or
     the memory engine produces a distinct key.  The analytic baseline
     is priced identically under both memory engines, so its keys ignore
@@ -295,19 +298,21 @@ def canonical_key(
     unpartitioned path at N=1), so scale-out sweeps share their N=1
     anchor with plain single-node runs.
     """
-    config = request.resolved_config()
+    accelerator = request.resolved_config()
     spec = {
         "model": request.model,
-        "config": asdict(config),
+        "config": asdict(accelerator),
         "progress": request.progress,
         "seed": request.seed,
         "acc_profile": list(request.acc_profile or ()),
         "phases": list(request.phases) if request.phases is not None else None,
-        "sample_strips": sample_strips,
-        "sample_steps": sample_steps,
-        "sim_seed": sim_seed,
+        "sample_strips": config.sample_strips,
+        "sample_steps": config.sample_steps,
+        "sim_seed": config.sim_seed,
         "memory_engine": (
-            "roofline" if config.name == "baseline" else memory_engine
+            "roofline"
+            if accelerator.name == "baseline"
+            else config.memory_engine
         ),
         "nodes": request.nodes,
         "partition": None if request.nodes == 1 else request.partition,
@@ -530,14 +535,8 @@ class SimulationSession:
     # -- lookup ------------------------------------------------------------
 
     def key_of(self, request: SimRequest) -> str:
-        """Canonical key of a request under this session's sampling."""
-        return canonical_key(
-            request,
-            self.config.sample_strips,
-            self.config.sample_steps,
-            self.config.sim_seed,
-            self.config.memory_engine,
-        )
+        """Canonical key of a request under this session's configuration."""
+        return canonical_key(request, self.config)
 
     @property
     def unique_simulations(self) -> int:
@@ -667,7 +666,9 @@ class SimulationSession:
             return
         items = list(todo.items())
         if self.config.jobs == 1 or len(items) == 1:
-            results = [self._execute(request) for _, request in items]
+            results = [
+                execute_request(request, self.config) for _, request in items
+            ]
         else:
             with ProcessPoolExecutor(max_workers=self.config.jobs) as pool:
                 futures = [
@@ -675,31 +676,17 @@ class SimulationSession:
                     for _, request in items
                 ]
                 results = [future.result() for future in futures]
-            self.stats.simulations += len(items)
+        self.stats.simulations += len(items)
         for (key, _), result in zip(items, results):
             self._memo[key] = result
             if self.disk is not None:
                 self.disk.store(key, result)
 
     def _get(self, request: SimRequest) -> WorkloadResult:
-        """Memo -> disk -> cold simulation, updating the counters."""
+        """A memo hit, or :meth:`prefetch` of the one request."""
         key = self.key_of(request)
         if key in self._memo:
             self.stats.hits += 1
-            return self._memo[key]
-        if self.disk is not None:
-            cached = self.disk.load(key)
-            if cached is not None:
-                self.stats.disk_hits += 1
-                self._memo[key] = cached
-                return cached
-        result = self._execute(request)
-        self._memo[key] = result
-        if self.disk is not None:
-            self.disk.store(key, result)
-        return result
-
-    def _execute(self, request: SimRequest) -> WorkloadResult:
-        """Run one cold simulation in-process."""
-        self.stats.simulations += 1
-        return execute_request(request, self.config)
+        else:
+            self.prefetch([request])
+        return self._memo[key]

@@ -1,10 +1,9 @@
 """Simulation-as-a-service: daemon, shared result store, and client.
 
-The service layer is the repo's "millions of users" path: every request
-after the first for a given canonical simulation key is a store hit.
-It is one layer above the in-process API -- the daemon normalizes wire
-requests through the exact canonical-key machinery
-:class:`repro.harness.runner.SimulationSession` uses, so the HTTP
+Every request after the first for a given canonical simulation key is
+a store hit.  The service is one layer above the in-process API -- the
+daemon normalizes wire requests through the exact canonical-key
+machinery :class:`repro.harness.runner.SimulationSession` uses, so the HTTP
 surface and the Python surface (:mod:`repro.api`) answer every request
 from the same shared store with byte-identical results.
 
@@ -18,7 +17,7 @@ Modules:
   daemon and the client (envelopes, result encoding, error shapes).
 * :mod:`repro.service.daemon` -- the asyncio HTTP daemon behind
   ``repro serve``: request dedup, in-flight coalescing, worker-pool
-  fan-out, ``hit|miss|pending`` provenance.
+  fan-out, ``hit|miss`` provenance.
 * :mod:`repro.service.client` -- stdlib HTTP client
   (:func:`repro.api.connect` returns one).
 """

@@ -63,9 +63,9 @@ class SweepOutcome:
     """One ``/sweep`` call's decoded answer.
 
     Attributes:
-        results: per-entry results, envelope order (None for pending).
-        statuses: per-entry ``hit|miss|pending`` provenance.
-        stats: the daemon's batch tally (hit/miss/pending counts).
+        results: per-entry results, envelope order.
+        statuses: per-entry ``hit|miss`` provenance.
+        stats: the daemon's batch tally (hit/miss counts).
     """
 
     results: list = field(default_factory=list)
@@ -97,9 +97,8 @@ class ServiceClient:
         timeout: per-request socket timeout in seconds for calls that
             may block on a cold simulation (keep this generous).
         poll_timeout: socket timeout for calls that never block on a
-            simulation -- health checks, stats, and ``wait=False``
-            polls -- so a dead daemon fails in seconds, not after the
-            full cold-run ``timeout``.
+            simulation -- health checks and stats -- so a dead daemon
+            fails in seconds, not after the full cold-run ``timeout``.
 
     Raises:
         ServiceError: on a malformed or non-HTTP URL.
@@ -207,32 +206,21 @@ class ServiceClient:
         """The daemon's ``/stats`` body (session, store, versions)."""
         return self._call("GET", "/stats", timeout=self.poll_timeout)
 
-    def submit(self, request, wait: bool = True) -> tuple[str, object]:
-        """Low-level ``/simulate``: provenance plus (optional) result.
+    def submit(self, request) -> tuple[str, object]:
+        """Low-level ``/simulate``: provenance plus result.
 
         Args:
             request: a :class:`SimRequest`, its wire-form dict, or a
                 bare model name.
-            wait: False returns ``("pending", None)`` while the daemon
-                computes; such polls run under the short
-                ``poll_timeout`` since the daemon answers immediately.
 
         Returns:
-            ``(status, result)`` where status is ``hit|miss|pending``.
+            ``(status, result)`` where status is ``hit|miss``.
         """
         body = {
             "schema": wire.ENVELOPE_SCHEMA,
             "request": _as_request(request).to_dict(),
-            "wait": wait,
         }
-        answer = self._call(
-            "POST",
-            "/simulate",
-            body,
-            timeout=None if wait else self.poll_timeout,
-        )
-        if answer.get("status") == "pending":
-            return "pending", None
+        answer = self._call("POST", "/simulate", body)
         return (
             answer.get("status", "hit"),
             wire.decode_result(answer.get("kind"), answer.get("result")),
@@ -269,17 +257,15 @@ class ServiceClient:
             model, config, progress, seed, acc_profile, phases,
             nodes=nodes, partition=partition,
         )
-        _, result = self.submit(request, wait=True)
+        _, result = self.submit(request)
         return result
 
-    def sweep(self, requests, wait: bool = True) -> SweepOutcome:
+    def sweep(self, requests) -> SweepOutcome:
         """Batch many requests into one ``/sweep`` call.
 
         Args:
             requests: iterable of :class:`SimRequest`s, wire-form
                 dicts, or bare model names (mixed freely).
-            wait: False lets unfinished entries come back ``pending``
-                and runs the call under the short ``poll_timeout``.
 
         Returns:
             The decoded :class:`SweepOutcome` (envelope order).  An
@@ -289,22 +275,13 @@ class ServiceClient:
         body = {
             "schema": wire.ENVELOPE_SCHEMA,
             "requests": [_as_request(r).to_dict() for r in requests],
-            "wait": wait,
         }
-        answer = self._call(
-            "POST",
-            "/sweep",
-            body,
-            timeout=None if wait else self.poll_timeout,
-        )
+        answer = self._call("POST", "/sweep", body)
         outcome = SweepOutcome(stats=answer.get("stats", {}))
         for entry in answer.get("results", []):
-            status = entry.get("status", "hit")
-            outcome.statuses.append(status)
+            outcome.statuses.append(entry.get("status", "hit"))
             outcome.results.append(
-                None
-                if status == "pending"
-                else wire.decode_result(entry.get("kind"), entry.get("result"))
+                wire.decode_result(entry.get("kind"), entry.get("result"))
             )
         return outcome
 

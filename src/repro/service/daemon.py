@@ -18,10 +18,9 @@ service:
 * cache misses fan out over a persistent
   :class:`concurrent.futures.ProcessPoolExecutor` sized by
   ``config.jobs`` (a thread pool in ``use_processes=False`` test mode);
-* every per-request answer carries ``hit|miss|pending`` provenance
-  (see :mod:`repro.service.wire` for the envelope shapes); a simulation
-  that failed while only ``wait: false`` pollers watched it is reported
-  as a 500 to the next request for its key;
+* every per-request answer carries ``hit|miss`` provenance (see
+  :mod:`repro.service.wire` for the envelope shapes); a simulation that
+  fails answers 500 to every request waiting on it;
 * each connection must deliver its request within
   :data:`READ_TIMEOUT_S` and at most :data:`MAX_HEADER_LINES` header
   lines, each within the stream limit.
@@ -156,22 +155,10 @@ class ServiceDaemon:
         self.use_processes = use_processes
         self.stats = SessionStats()
         self._inflight: dict[str, asyncio.Future] = {}
-        # Failures no request has received yet (only pollers watched).
-        self._failed: dict[str, Exception] = {}
         self._executor: Executor | None = None
         self._server: asyncio.AbstractServer | None = None
 
     # -- request resolution ------------------------------------------------
-
-    def key_of(self, request: SimRequest) -> str:
-        """Canonical key of a request under the daemon's configuration."""
-        return canonical_key(
-            request,
-            self.config.sample_strips,
-            self.config.sample_steps,
-            self.config.sim_seed,
-            self.config.memory_engine,
-        )
 
     def _pool(self) -> Executor:
         """The lazily-created persistent worker pool."""
@@ -190,7 +177,6 @@ class ServiceDaemon:
     async def _run(self, key: str, request: SimRequest):
         """Execute one cold simulation on the pool and persist it.
 
-        A failure is held in ``_failed`` until a request receives it.
         A worker that dies breaks its process pool for good, so the
         broken pool is dropped and the next cold request builds a new
         one.
@@ -204,70 +190,46 @@ class ServiceDaemon:
             self.stats.simulations += 1
             self.store.store(key, result)
             return result
-        except Exception as exc:
-            if isinstance(exc, BrokenProcessPool) and self._executor is pool:
+        except BrokenProcessPool:
+            if self._executor is pool:
                 pool.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
-            self._failed[key] = exc
             raise
         finally:
             self._inflight.pop(key, None)
 
-    async def _wait(self, key: str, future: asyncio.Future):
-        """Await a computation; a failure raised here has been reported."""
-        try:
-            return await asyncio.shield(future)
-        except Exception:
-            self._failed.pop(key, None)
-            raise
-
-    async def resolve(self, request: SimRequest, wait: bool = True) -> dict:
-        """Answer one request with ``hit|miss|pending`` provenance.
+    async def resolve(self, request: SimRequest) -> dict:
+        """Answer one request with ``hit|miss`` provenance.
 
         Args:
             request: the validated simulation request.
-            wait: block until the result exists (False turns an
-                unfinished computation into a ``pending`` answer).
 
         Returns:
-            One response entry: ``status``/``key`` always, plus
-            ``kind``/``result`` when the status is not ``pending``.
+            One response entry: ``status``, ``key``, ``kind`` and
+            ``result``.
 
         Raises:
-            Exception: the simulation's own error, to the requests
-                waiting on it -- or, when only ``wait: false`` pollers
-                watched it fail, once to the next request for the key.
+            Exception: the simulation's own error, to every request
+                waiting on it.
         """
-        key = self.key_of(request)
+        key = canonical_key(request, self.config)
         inflight = self._inflight.get(key)
         if inflight is not None:
-            if not wait:
-                return {"status": "pending", "key": key}
-            result = await self._wait(key, inflight)
             self.stats.hits += 1
+            result = await asyncio.shield(inflight)
             return {"status": "hit", "key": key, **wire.encode_result(result)}
-        failure = self._failed.pop(key, None)
-        if failure is not None:
-            raise failure
         cached = self.store.load(key)
         if cached is not None:
             self.stats.disk_hits += 1
             return {"status": "hit", "key": key, **wire.encode_result(cached)}
         future = asyncio.ensure_future(self._run(key, request))
-        # The error reaches clients through _failed or _wait; mark it
-        # retrieved so an unwatched failure logs no stray traceback.
-        future.add_done_callback(
-            lambda done: done.cancelled() or done.exception()
-        )
+        # Every waiter's shield retrieves the outcome.  A waiter is only
+        # cancelled at shutdown, which cancels this task as well.
         self._inflight[key] = future
-        if not wait:
-            return {"status": "pending", "key": key}
-        result = await self._wait(key, future)
+        result = await asyncio.shield(future)
         return {"status": "miss", "key": key, **wire.encode_result(result)}
 
-    async def resolve_sweep(
-        self, requests: list[SimRequest], wait: bool = True
-    ) -> dict:
+    async def resolve_sweep(self, requests: list[SimRequest]) -> dict:
         """Answer a batched sweep, deduplicating within the batch.
 
         Every unique canonical key resolves exactly once (concurrently);
@@ -275,27 +237,23 @@ class ServiceDaemon:
 
         Args:
             requests: validated requests, envelope order preserved.
-            wait: as in :meth:`resolve`.
 
         Returns:
             The ``/sweep`` response body: per-entry ``results`` plus a
-            batch-level ``stats`` tally of hit/miss/pending counts.
+            batch-level ``stats`` tally of hit/miss counts.
         """
         unique: dict[str, SimRequest] = {}
         keys = []
         for request in requests:
-            key = self.key_of(request)
+            key = canonical_key(request, self.config)
             keys.append(key)
             unique.setdefault(key, request)
         answers = await asyncio.gather(
-            *(
-                self.resolve(request, wait=wait)
-                for request in unique.values()
-            )
+            *(self.resolve(request) for request in unique.values())
         )
         by_key = dict(zip(unique.keys(), answers))
         entries = []
-        tally = {"hit": 0, "miss": 0, "pending": 0}
+        tally = {"hit": 0, "miss": 0}
         seen: set[str] = set()
         for key in keys:
             answer = by_key[key]
@@ -346,14 +304,14 @@ class ServiceDaemon:
         if path == "/simulate":
             if method != "POST":
                 return 405, wire.error_body("use POST for /simulate")
-            request, wait = wire.parse_simulate(wire.parse_body(body))
-            answer = await self.resolve(request, wait=wait)
+            request = wire.parse_simulate(wire.parse_body(body))
+            answer = await self.resolve(request)
             return 200, {"schema": wire.ENVELOPE_SCHEMA, **answer}
         if path == "/sweep":
             if method != "POST":
                 return 405, wire.error_body("use POST for /sweep")
-            requests, wait = wire.parse_sweep(wire.parse_body(body))
-            return 200, await self.resolve_sweep(requests, wait=wait)
+            requests = wire.parse_sweep(wire.parse_body(body))
+            return 200, await self.resolve_sweep(requests)
         return 404, wire.error_body(
             f"unknown path {path!r}; endpoints: /simulate, /sweep, "
             "/stats, /healthz"
@@ -482,7 +440,6 @@ def run_daemon(
     store: ResultStore,
     host: str = "127.0.0.1",
     port: int = 8177,
-    use_processes: bool = True,
 ) -> int:
     """Blocking entry point behind ``repro serve``.
 
@@ -491,13 +448,12 @@ def run_daemon(
         store: the shared result store.
         host: interface to bind.
         port: TCP port.
-        use_processes: thread-pool test mode when False.
 
     Returns:
         Process exit code (0 on clean shutdown via Ctrl-C).
     """
     try:
-        asyncio.run(_serve(config, store, host, port, use_processes))
+        asyncio.run(_serve(config, store, host, port, use_processes=True))
     except KeyboardInterrupt:
         print("repro serve: shut down", flush=True)
     return 0

@@ -6,22 +6,21 @@ HTTP between :mod:`repro.service.daemon` and
 :class:`repro.harness.runner.SimRequest` wire form the in-process API
 uses -- the HTTP surface is the Python surface, one layer apart.
 
-Request envelopes (all POST bodies)::
+Request envelopes (all POST bodies; ``schema`` may be omitted)::
 
-    {"schema": 1, "request": {<SimRequest wire form>}, "wait": true}
-    {"schema": 1, "requests": [{...}, {...}], "wait": true}
+    {"schema": 2, "request": {<SimRequest wire form>}}      # /simulate
+    {"schema": 2, "requests": [{...}, {...}]}               # /sweep
 
 Response envelopes::
 
-    {"schema": 1, "status": "hit|miss|pending", "key": "...",
+    {"schema": 2, "status": "hit|miss", "key": "...",
      "kind": "workload|scaleout", "result": {...}}          # /simulate
-    {"schema": 1, "results": [{...}], "stats": {...}}       # /sweep
-    {"schema": 1, "error": "<actionable message>"}          # any 4xx
+    {"schema": 2, "results": [{...}], "stats": {...}}       # /sweep
+    {"schema": 2, "error": "<actionable message>"}          # 4xx/5xx
 
 ``status`` provenance: ``hit`` -- served from the shared store or an
 in-flight computation another request started; ``miss`` -- this request
-triggered a cold simulation; ``pending`` -- the simulation is running
-and the caller asked not to wait (``"wait": false``).
+triggered a cold simulation.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from repro.harness.cache import decode_tagged, encode_tagged
 from repro.harness.runner import SimRequest, WireFormatError
 
 # The envelope schema version (rides next to SimRequest's own
-# WIRE_SCHEMA_VERSION; both are 1 until an incompatible change).
-ENVELOPE_SCHEMA = 1
+# WIRE_SCHEMA_VERSION); bump it on any incompatible envelope change.
+ENVELOPE_SCHEMA = 2
 
 # Maximum requests accepted in one /sweep envelope -- a backstop
 # against unbounded memory, not a throughput limit (batch again).
@@ -83,54 +82,56 @@ def parse_body(raw: bytes) -> dict:
     return payload
 
 
-def _parse_wait(payload: dict) -> bool:
-    """The envelope's ``wait`` flag (default True)."""
-    wait = payload.get("wait", True)
-    if not isinstance(wait, bool):
+def _reject_unknown_fields(payload: dict, field: str) -> None:
+    """Refuse an envelope field other than ``schema`` and ``field``."""
+    unknown = sorted(set(payload) - {"schema", field})
+    if unknown:
         raise WireFormatError(
-            f"field 'wait' must be a boolean, got {wait!r}"
+            f"unknown envelope field(s) {', '.join(map(repr, unknown))}; "
+            f"this envelope carries only 'schema' and {field!r}"
         )
-    return wait
 
 
-def parse_simulate(payload: dict) -> tuple[SimRequest, bool]:
+def parse_simulate(payload: dict) -> SimRequest:
     """Validate a ``/simulate`` envelope.
 
     Args:
         payload: parsed request body.
 
     Returns:
-        ``(request, wait)``.
+        The validated request.
 
     Raises:
-        WireFormatError: on a missing/malformed ``request`` field.
+        WireFormatError: on a missing/malformed ``request`` field or any
+            other envelope field.
     """
+    _reject_unknown_fields(payload, "request")
     if "request" not in payload:
         raise WireFormatError(
             "envelope must carry a 'request' object (the SimRequest "
             "wire form; see docs/SERVICE.md)"
         )
-    return SimRequest.from_dict(payload["request"]), _parse_wait(payload)
+    return SimRequest.from_dict(payload["request"])
 
 
-def parse_sweep(payload: dict) -> tuple[list[SimRequest], bool]:
+def parse_sweep(payload: dict) -> list[SimRequest]:
     """Validate a ``/sweep`` envelope.
 
     Args:
         payload: parsed request body.
 
     Returns:
-        ``(requests, wait)`` -- requests in envelope order (duplicates
-        allowed; the daemon dedups by canonical key).  An empty list is
-        a valid (trivial) sweep: the daemon answers it with zero
-        results and an all-zero tally rather than an error, mirroring
-        ``repro.api.sweep([])``.
+        The requests in envelope order (duplicates allowed; the daemon
+        dedups by canonical key).  An empty list is a valid (trivial)
+        sweep: the daemon answers it with zero results and an all-zero
+        tally rather than an error, mirroring ``repro.api.sweep([])``.
 
     Raises:
-        WireFormatError: on a missing/malformed ``requests`` list, an
-            oversized sweep, or any invalid entry (the message carries
-            the entry's index).
+        WireFormatError: on a missing/malformed ``requests`` list, any
+            other envelope field, an oversized sweep, or any invalid
+            entry (the message carries the entry's index).
     """
+    _reject_unknown_fields(payload, "requests")
     requests = payload.get("requests")
     if not isinstance(requests, list):
         raise WireFormatError(
@@ -148,7 +149,7 @@ def parse_sweep(payload: dict) -> tuple[list[SimRequest], bool]:
             parsed.append(SimRequest.from_dict(entry))
         except WireFormatError as exc:
             raise WireFormatError(f"requests[{index}]: {exc}")
-    return parsed, _parse_wait(payload)
+    return parsed
 
 
 def encode_result(result) -> dict:
@@ -192,5 +193,5 @@ def decode_result(kind: str, data: dict):
 
 
 def error_body(message: str) -> dict:
-    """The error envelope for a 4xx response."""
+    """The error envelope for a 4xx or 5xx response."""
     return {"schema": ENVELOPE_SCHEMA, "error": message}

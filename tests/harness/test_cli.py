@@ -98,6 +98,13 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_port_outside_range_exits_2(self, port, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", port])
+        assert excinfo.value.code == 2
+        assert "must be in 0..65535" in capsys.readouterr().err
+
     def test_serve_store_naming_a_file_exits_2(self, tmp_path, capsys):
         store = tmp_path / "results.sqlite"
         store.write_text("not a result directory")

@@ -56,11 +56,14 @@ def _simulated_result(seed=0):
     return AcceleratorSimulator(**QUICK).simulate_workload([workload])
 
 
+KEYED = SessionConfig(sample_strips=4, sample_steps=32, sim_seed=1234)
+
+
 class TestCanonicalKey:
     def test_none_config_equals_paper_config(self):
         r1 = SimRequest.make("NCF", None)
         r2 = SimRequest.make("NCF", fpraker_paper_config())
-        assert canonical_key(r1, 4, 32, 1234) == canonical_key(r2, 4, 32, 1234)
+        assert canonical_key(r1, KEYED) == canonical_key(r2, KEYED)
 
     def test_distinguishes_every_axis(self):
         base = SimRequest.make("NCF")
@@ -72,20 +75,28 @@ class TestCanonicalKey:
             SimRequest.make("NCF", acc_profile={"fc": 6}),
             SimRequest.make("NCF", phases=("AxW",)),
         ]
-        key = canonical_key(base, 4, 32, 1234)
+        key = canonical_key(base, KEYED)
         for variant in variants:
-            assert canonical_key(variant, 4, 32, 1234) != key
+            assert canonical_key(variant, KEYED) != key
 
     def test_sampling_parameters_in_key(self):
         request = SimRequest.make("NCF")
-        assert canonical_key(request, 4, 32, 1234) != canonical_key(
-            request, 2, 32, 1234
+        assert canonical_key(request, KEYED) != canonical_key(
+            request, SessionConfig(sample_strips=2, sample_steps=32)
         )
+
+    def test_integral_clock_shares_the_paper_key(self):
+        # JSON's 600 and the paper's 600.0 are one configuration.
+        wire = SimRequest.from_dict(
+            {"model": "NCF", "config": {"clock_mhz": 600}}
+        )
+        paper = SimRequest.make("NCF", fpraker_paper_config())
+        assert canonical_key(wire, KEYED) == canonical_key(paper, KEYED)
 
     def test_acc_profile_order_insensitive(self):
         r1 = SimRequest.make("NCF", acc_profile={"a": 6, "b": 8})
         r2 = SimRequest.make("NCF", acc_profile={"b": 8, "a": 6})
-        assert canonical_key(r1, 4, 32, 1234) == canonical_key(r2, 4, 32, 1234)
+        assert canonical_key(r1, KEYED) == canonical_key(r2, KEYED)
 
 
 class TestResultSerialization:

@@ -24,7 +24,7 @@ FAST = SessionConfig(sample_strips=2, sample_steps=8)
 
 
 def _key(request):
-    return canonical_key(request, 2, 8, 1234, "roofline")
+    return canonical_key(request, FAST)
 
 
 class TestCanonicalKeys:

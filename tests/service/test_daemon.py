@@ -1,5 +1,7 @@
-"""End-to-end tests: daemon + store + client over real HTTP."""
+"""End-to-end tests: daemon + store + client over real HTTP, plus
+in-flight coalescing driven through ``ServiceDaemon.resolve``."""
 
+import asyncio
 import http.client
 import json
 import os
@@ -25,7 +27,7 @@ from repro.service.client import (
     ServiceTimeoutError,
     connect,
 )
-from repro.service.daemon import background_daemon
+from repro.service.daemon import ServiceDaemon, background_daemon
 from repro.service.store import ResultStore
 
 # Reduced sampling keeps each cold simulation fast; the daemon and the
@@ -118,19 +120,6 @@ class TestSimulate:
         assert remote == json.dumps(local.to_dict())
         assert remote != json.dumps(quick.to_dict())
 
-    def test_wait_false_goes_pending_then_lands(self, service):
-        client, store = service
-        status, result = client.submit("SNLI", wait=False)
-        assert status == "pending" and result is None
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            status, result = client.submit("SNLI", wait=False)
-            if status == "hit":
-                break
-            time.sleep(0.2)
-        assert status == "hit" and result is not None
-        assert store.stats()["entries"] == 1
-
     def test_scaleout_requests_round_trip(self, service):
         client, _store = service
         result = client.simulate("NCF", nodes=4, partition="data")
@@ -152,7 +141,7 @@ class TestSweep:
         warm = client.sweep(batch)
         assert warm.statuses == ["hit", "hit", "hit"]
         assert warm.hit_fraction == 1.0
-        assert warm.stats == {"hit": 3, "miss": 0, "pending": 0}
+        assert warm.stats == {"hit": 3, "miss": 0}
         assert store.stats()["entries"] == 2  # zero new simulations
 
     def test_mixed_request_forms(self, service):
@@ -183,7 +172,7 @@ class TestSweep:
         client, store = service
         outcome = client.sweep([])
         assert outcome.results == [] and outcome.statuses == []
-        assert outcome.stats == {"hit": 0, "miss": 0, "pending": 0}
+        assert outcome.stats == {"hit": 0, "miss": 0}
         assert outcome.hit_fraction == 0.0
         assert store.stats()["entries"] == 0  # nothing was simulated
 
@@ -209,7 +198,7 @@ class TestStatsAndHealth:
         assert body["store"]["entries"] == 1
         assert body["store"]["stale_entries"] == 0
         assert body["config"]["sample_strips"] == 2
-        assert body["versions"]["envelope_schema"] == 1
+        assert body["versions"]["envelope_schema"] == 2
         # Entries from another CACHE_VERSION, or unreadable, are stale.
         (store.root / "old.json").write_text(json.dumps({"version": 0}))
         (store.root / "torn.json").write_text("{not json")
@@ -261,11 +250,7 @@ class TestHttpErrors:
         # transport (the public sweep() validates client-side first);
         # the ServiceError carries the daemon's message and status.
         client = ServiceClient(url)
-        body = {
-            "schema": wire.ENVELOPE_SCHEMA,
-            "requests": [{"model": 5}],
-            "wait": True,
-        }
+        body = {"schema": wire.ENVELOPE_SCHEMA, "requests": [{"model": 5}]}
         with pytest.raises(ServiceError, match=r"requests\[0\]") as err:
             client._call("POST", "/sweep", body)
         assert err.value.status == 400
@@ -300,7 +285,41 @@ class TestFaults:
         assert body["status"] == "miss" and body["result"]
         assert store.stats()["entries"] == 1
 
-    def test_wait_false_failure_is_reported(self, service, monkeypatch):
+
+@pytest.fixture()
+def daemon(tmp_path):
+    """A thread-pool daemon that is driven without HTTP."""
+    daemon = ServiceDaemon(QUICK, ResultStore(tmp_path), use_processes=False)
+    yield daemon
+    asyncio.run(daemon.aclose())
+
+
+def _gather(daemon, *requests):
+    """Resolve requests concurrently on one event loop; an answer is the
+    exception where one raised."""
+
+    async def drive():
+        return await asyncio.gather(
+            *(daemon.resolve(request) for request in requests),
+            return_exceptions=True,
+        )
+
+    return asyncio.run(drive())
+
+
+class TestCoalescing:
+    """Concurrent requests for one key.  The first ``resolve`` registers
+    its in-flight simulation before its first await, so the second
+    always finds it: no timing is involved."""
+
+    def test_concurrent_requests_share_one_simulation(self, daemon):
+        request = SimRequest.make("NCF")
+        first, second = _gather(daemon, request, request)
+        assert (first["status"], second["status"]) == ("miss", "hit")
+        assert daemon.stats.simulations == 1 and daemon.stats.hits == 1
+        assert json.dumps(first["result"]) == json.dumps(second["result"])
+
+    def test_failure_reaches_every_waiter(self, daemon, monkeypatch):
         calls = []
 
         def boom(request, config):
@@ -308,32 +327,13 @@ class TestFaults:
             raise RuntimeError("boom")
 
         monkeypatch.setattr("repro.service.daemon.execute_request", boom)
-        client, _store = service
-        url = f"http://{client.host}:{client.port}"
-        poll = {"request": {"model": "SNLI"}, "wait": False}
-
-        def poll_until_answered():
-            deadline = time.monotonic() + 10
-            while True:
-                status, body = _post(url, "/simulate", poll)
-                if status != 200 or body["status"] != "pending":
-                    return status, body
-                if time.monotonic() > deadline:
-                    return status, body
-                time.sleep(0.05)
-
-        assert _post(url, "/simulate", poll)[1]["status"] == "pending"
-        status, body = poll_until_answered()
-        assert status == 500 and "RuntimeError: boom" in body["error"]
-        assert len(calls) == 1  # the polls in between restarted nothing
-        # Reported once: the next poll starts a fresh simulation.
-        assert _post(url, "/simulate", poll)[1]["status"] == "pending"
-        status, body = poll_until_answered()
-        assert status == 500 and len(calls) == 2
-        # A waiting request gets its own simulation's error, as before.
-        status, body = _post(url, "/simulate", {"request": {"model": "SNLI"}})
-        assert status == 500 and "RuntimeError: boom" in body["error"]
-        assert len(calls) == 3
+        request = SimRequest.make("SNLI")
+        for answer in _gather(daemon, request, request):
+            assert isinstance(answer, RuntimeError) and str(answer) == "boom"
+        assert len(calls) == 1  # both waited on one simulation
+        # The failure is not kept: the next request simulates again.
+        (again,) = _gather(daemon, request)
+        assert isinstance(again, RuntimeError) and len(calls) == 2
 
 
 def _exchange(url, data, timeout=10.0):
@@ -412,48 +412,14 @@ class TestClientErrors:
         thread = threading.Thread(target=_accept, daemon=True)
         thread.start()
         try:
+            # stats() runs under poll_timeout, not the cold-run timeout.
             client = ServiceClient(
-                f"http://127.0.0.1:{port}", timeout=0.5, poll_timeout=0.5
+                f"http://127.0.0.1:{port}", timeout=30.0, poll_timeout=0.5
             )
             with pytest.raises(
-                ServiceTimeoutError, match=f"127.0.0.1:{port}"
+                ServiceTimeoutError, match=rf"127.0.0.1:{port}.*within 0\.5s"
             ):
                 client.stats()
-        finally:
-            listener.close()
-            for conn in accepted:
-                conn.close()
-            thread.join(timeout=5)
-
-    def test_wait_false_uses_poll_timeout(self):
-        # A wait=False poll must run under poll_timeout, not the full
-        # cold-run timeout -- verified against a never-answering socket
-        # through the expired timeout the error names.
-        import socket
-        import threading
-
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-        port = listener.getsockname()[1]
-        accepted = []
-
-        def _accept():
-            try:
-                accepted.append(listener.accept()[0])
-            except OSError:
-                pass
-
-        thread = threading.Thread(target=_accept, daemon=True)
-        thread.start()
-        try:
-            client = ServiceClient(
-                f"http://127.0.0.1:{port}",
-                timeout=600.0,
-                poll_timeout=0.5,
-            )
-            with pytest.raises(ServiceTimeoutError, match=r"within 0\.5s"):
-                client.submit("NCF", wait=False)
         finally:
             listener.close()
             for conn in accepted:

@@ -34,9 +34,8 @@ class TestSimRequestWireForm:
         back = SimRequest.from_dict(
             json.loads(json.dumps(request.to_dict()))
         )
-        assert canonical_key(back, 4, 32, 1234) == canonical_key(
-            request, 4, 32, 1234
-        )
+        config = SessionConfig(sample_strips=4)
+        assert canonical_key(back, config) == canonical_key(request, config)
 
     def test_wire_form_carries_schema_version(self):
         assert SimRequest.make("NCF").to_dict()["schema"] == (
@@ -80,6 +79,21 @@ class TestSimRequestWireForm:
                 {"config": {"serial_side_selection": "x"}},
                 "serial_side_selection",
             ),
+            # Each ran without a check: the first never returned, the
+            # next three raised inside the simulation, the rest ran.
+            ({"config": {"tile": {"pe": {"shift_window": -1}}}},
+             "shift_window"),
+            ({"config": {"tile": {"buffer_depth": -1}}}, "buffer_depth"),
+            ({"config": {"tile": {"pe": {"lanes": 2.0}}}}, "lanes"),
+            ({"config": {"tile": {"rows": 1.5}}}, "rows"),
+            ({"config": {"tiles": 2.5}}, "tiles"),
+            ({"config": {"tiles": True}}, "tiles"),
+            ({"config": {"tile": {"pe": {"accumulator": {"frac_bits": -3}}}}},
+             "frac_bits"),
+            ({"acc_profile": [["embed_fusion", -3]]}, "acc_profile"),
+            ({"config": {"tile": {"pe": {"ob_skip": "no"}}}}, "ob_skip"),
+            ({"config": {"base_delta_compression": "no"}},
+             "base_delta_compression"),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
@@ -107,22 +121,25 @@ class TestEnvelopes:
             wire.parse_body(json.dumps({"schema": 42}).encode())
 
     def test_parse_simulate_round_trip(self):
-        payload = _envelope(
-            request=SimRequest.make("NCF").to_dict(), wait=False
-        )
-        request, wait = wire.parse_simulate(payload)
-        assert request.model == "NCF" and wait is False
+        payload = _envelope(request=SimRequest.make("NCF").to_dict())
+        assert wire.parse_simulate(payload) == SimRequest.make("NCF")
 
     def test_parse_simulate_requires_request(self):
         with pytest.raises(WireFormatError, match="'request'"):
             wire.parse_simulate(_envelope())
 
-    def test_wait_must_be_boolean(self):
-        payload = _envelope(
-            request=SimRequest.make("NCF").to_dict(), wait="yes"
-        )
-        with pytest.raises(WireFormatError, match="wait"):
-            wire.parse_simulate(payload)
+    @pytest.mark.parametrize(
+        "parse,body",
+        [
+            (wire.parse_simulate, {"request": {"model": "NCF"}}),
+            (wire.parse_sweep, {"requests": [{"model": "NCF"}]}),
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_unknown_envelope_field_is_rejected(self, parse, body):
+        # An old client's "wait": false must not block silently.
+        with pytest.raises(WireFormatError, match="'wait'"):
+            parse(_envelope(**body, wait=False))
 
     def test_parse_sweep_preserves_order(self):
         payload = _envelope(
@@ -130,15 +147,13 @@ class TestEnvelopes:
                 SimRequest.make(m).to_dict() for m in ("NCF", "SNLI", "NCF")
             ]
         )
-        requests, wait = wire.parse_sweep(payload)
+        requests = wire.parse_sweep(payload)
         assert [r.model for r in requests] == ["NCF", "SNLI", "NCF"]
-        assert wait is True
 
     def test_parse_sweep_accepts_empty_list(self):
         # Regression: an empty sweep is a valid (trivial) batch, not a
         # wire error -- the daemon answers it with zero results.
-        requests, wait = wire.parse_sweep(_envelope(requests=[]))
-        assert requests == [] and wait is True
+        assert wire.parse_sweep(_envelope(requests=[])) == []
 
     def test_parse_sweep_rejects_non_list(self):
         with pytest.raises(WireFormatError, match="'requests' list"):
