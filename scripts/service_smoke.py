@@ -2,8 +2,10 @@
 
 Starts a real daemon process, issues one `/simulate`, a cold `/sweep`
 over the Fig 11 models, then repeats the sweep and asserts the second
-pass is answered almost entirely (>= 90%) from the shared store with
-zero new simulations.  Then sends one two-node scale-out `/simulate`:
+pass is answered almost entirely (>= 90%) as hits with zero new
+simulations, every key from the daemon's memo and none from the store,
+and that two more identical sweeps answer identical bytes.  Then sends
+one two-node scale-out `/simulate`:
 a miss whose result must equal the in-process `api.scaleout` byte for
 byte, then a hit.  An envelope that still sends `"wait": false` must
 answer 400 naming `wait`, and two threads sending one cold `/simulate`
@@ -41,13 +43,13 @@ def _free_port() -> int:
         return probe.getsockname()[1]
 
 
-def _post(port: int, path: str, body: dict) -> tuple[int, dict]:
-    """One raw POST to the daemon: (HTTP status, parsed body)."""
+def _post(port: int, path: str, body: dict) -> tuple[int, bytes]:
+    """One raw POST to the daemon: (HTTP status, body bytes)."""
     connection = http.client.HTTPConnection("127.0.0.1", port, timeout=600)
     try:
         connection.request("POST", path, json.dumps(body))
         response = connection.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, response.read()
     finally:
         connection.close()
 
@@ -148,16 +150,20 @@ def main(argv: list[str] | None = None) -> int:
                 f"(stats: {cold.stats})",
             )
 
-            simulations_before = client.stats()["stats"]["simulations"]
+            before = client.stats()["stats"]
             started = time.monotonic()
             warm = client.sweep(models)
             warm_seconds = round(time.monotonic() - started, 3)
-            simulations_after = client.stats()["stats"]["simulations"]
+            after = client.stats()["stats"]
+            simulations_before = before["simulations"]
+            simulations_after = after["simulations"]
             transcript["warm_sweep"] = {
                 "stats": warm.stats,
                 "seconds": warm_seconds,
                 "hit_fraction": warm.hit_fraction,
                 "new_simulations": simulations_after - simulations_before,
+                "memo_hits": after["memo_hits"] - before["memo_hits"],
+                "disk_hits": after["disk_hits"] - before["disk_hits"],
             }
             check(
                 "sweep-warm-hits",
@@ -184,6 +190,30 @@ def main(argv: list[str] | None = None) -> int:
                 "warm results byte-identical to cold",
             )
 
+            # Every key of the warm sweep was answered before, so the
+            # daemon's memo answers it without reading the store, and
+            # answers a repeat with the same bytes.
+            keys = len(set(models))
+            envelope = {
+                "requests": [
+                    api.SimRequest.make(model).to_dict() for model in models
+                ]
+            }
+            first, repeat = (_post(port, "/sweep", envelope) for _ in range(2))
+            check(
+                "memo",
+                transcript["warm_sweep"]["memo_hits"] == keys
+                and transcript["warm_sweep"]["disk_hits"] == 0
+                and first[0] == repeat[0] == 200
+                and first[1] == repeat[1],
+                f"warm /sweep of {keys} keys: "
+                f"{transcript['warm_sweep']['memo_hits']} memo hits, "
+                f"{transcript['warm_sweep']['disk_hits']} store hits; "
+                f"a raw repeat answered {repeat[0]} with "
+                f"{'identical' if first[1] == repeat[1] else 'different'} "
+                "bytes",
+            )
+
             # The worker processes build the scale-out request's node
             # simulator and wrap it; the answer must match in-process.
             scaleout = api.SimRequest.make(
@@ -206,14 +236,14 @@ def main(argv: list[str] | None = None) -> int:
                 f"second 2-node /simulate of {models[0]} is a {status}",
             )
 
-            status, body = _post(
+            status, raw = _post(
                 port,
                 "/simulate",
                 {"request": {"model": models[0]}, "wait": False},
             )
             check(
                 "wait-rejected",
-                status == 400 and "'wait'" in body.get("error", ""),
+                status == 400 and "'wait'" in json.loads(raw).get("error", ""),
                 f"a /simulate envelope with \"wait\": false answers {status}",
             )
 
@@ -224,7 +254,8 @@ def main(argv: list[str] | None = None) -> int:
             answers: list = [None, None]
 
             def send(index: int) -> None:
-                answers[index] = _post(port, "/simulate", fresh)
+                status, raw = _post(port, "/simulate", fresh)
+                answers[index] = status, json.loads(raw)
 
             threads = [
                 threading.Thread(target=send, args=(i,)) for i in range(2)

@@ -29,6 +29,13 @@ from typing import Any, Callable, Mapping
 
 from repro.fp.accumulator import AccumulatorSpec, check_config_fields
 
+# MAC lanes one tile may have (rows x cols x lanes): 64x the paper's
+# 8 x 8 x 8 tile, and 32x Fig 19's largest (16 x 8 x 8).  A strip
+# simulation's memory grows with this product.  The widest tile at the
+# bound, 8 x 512 x 8, is the dearest measured: 1.4 GB peak and 22 s for
+# a whole VGG16 at the default sampling (64 x 64 x 8: 310 MB, 13 s).
+MAX_TILE_MAC_LANES = 32_768
+
 
 @dataclass(frozen=True)
 class PEConfig:
@@ -62,14 +69,14 @@ class PEConfig:
     saturate_shifts: bool = True
 
     def __post_init__(self) -> None:
-        """Reject a mistyped field, a PE without MAC lanes, or a
-        negative shift window."""
-        check_config_fields(self, lanes=1, shift_window=0)
+        """Reject a mistyped field, a PE without MAC lanes or exponent
+        block, or a negative shift window."""
+        check_config_fields(self, lanes=1, shift_window=0, exponent_sharing=1)
 
     @property
     def min_group_cycles(self) -> int:
         """Minimum cycles per group of 8 A values (exponent-block bound)."""
-        return max(1, self.exponent_sharing)
+        return self.exponent_sharing
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,15 @@ class TileConfig:
     pe: PEConfig = field(default_factory=PEConfig)
 
     def __post_init__(self) -> None:
-        """Reject a mistyped field, an empty PE grid, or a negative
-        buffer depth."""
+        """Reject a mistyped field, an empty PE grid, a negative buffer
+        depth, or more than :data:`MAX_TILE_MAC_LANES` MAC lanes."""
         check_config_fields(self, rows=1, cols=1, buffer_depth=0)
+        if self.macs_per_group_step > MAX_TILE_MAC_LANES:
+            raise ValueError(
+                f"rows x cols x pe.lanes must be <= {MAX_TILE_MAC_LANES}, "
+                f"got {self.rows} x {self.cols} x {self.pe.lanes} = "
+                f"{self.macs_per_group_step}"
+            )
 
     @property
     def pes(self) -> int:

@@ -142,8 +142,9 @@ class AccumulatorSpec:
     chunk_size: int = 64
 
     def __post_init__(self) -> None:
-        """Reject a non-integer width or a negative ``frac_bits``."""
-        check_config_fields(self, frac_bits=0)
+        """Reject a non-integer width, a negative ``frac_bits`` or
+        ``int_bits``, or a ``chunk_size`` below 1."""
+        check_config_fields(self, frac_bits=0, int_bits=0, chunk_size=1)
 
     @property
     def total_bits(self) -> int:

@@ -203,7 +203,7 @@ class ServiceClient:
             return False
 
     def stats(self) -> dict:
-        """The daemon's ``/stats`` body (session, store, versions)."""
+        """The daemon's ``/stats`` body (counters, memo, store, versions)."""
         return self._call("GET", "/stats", timeout=self.poll_timeout)
 
     def submit(self, request) -> tuple[str, object]:

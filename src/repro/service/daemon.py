@@ -10,17 +10,20 @@ service:
   under the daemon's :class:`repro.harness.runner.SessionConfig`), so a
   daemon answer is byte-identical to an in-process run with the same
   configuration;
-* keys are deduplicated three ways: against the shared
-  :class:`repro.service.store.ResultStore` (the per-key JSON directory
-  ``repro run --cache`` also reads and writes), against **in-flight**
+* keys are deduplicated four ways: against a bounded in-memory **memo**
+  of the result bytes already answered, against **in-flight**
   computations (concurrent requests for one key coalesce onto one
-  simulation), and within a ``/sweep`` batch;
+  simulation), against the shared
+  :class:`repro.service.store.ResultStore` (the per-key JSON directory
+  ``repro run --cache`` also reads and writes), and within a ``/sweep``
+  batch;
 * cache misses fan out over a persistent
   :class:`concurrent.futures.ProcessPoolExecutor` sized by
   ``config.jobs`` (a thread pool in ``use_processes=False`` test mode);
 * every per-request answer carries ``hit|miss`` provenance (see
-  :mod:`repro.service.wire` for the envelope shapes); a simulation that
-  fails answers 500 to every request waiting on it;
+  :mod:`repro.service.wire` for the envelope shapes) and splices the
+  memoized result bytes into its envelope; a simulation that fails
+  answers 500 to every request waiting on it, and is never memoized;
 * each connection must deliver its request within
   :data:`READ_TIMEOUT_S` and at most :data:`MAX_HEADER_LINES` header
   lines, each within the stream limit.
@@ -36,6 +39,7 @@ import contextlib
 import json
 import queue
 import threading
+from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -54,6 +58,13 @@ from repro.service.store import ResultStore
 # Upper bound on accepted request bodies (16 MiB covers the largest
 # realistic sweep envelope by orders of magnitude).
 MAX_BODY_BYTES = 16 * 1024 * 1024
+
+# Result bytes the daemon memoizes; past the budget the least recently
+# used entry goes first.  The 231 entries of a `run all` store hold
+# 4.1 MB of results (median 19 KB, largest 29 KB), so 64 MiB keeps about
+# 3,500 typical entries.  An entry needs no invalidation: the memo lives
+# in one process and a key's result is a pure function of the key.
+MEMO_BUDGET_BYTES = 64 * 1024 * 1024
 
 # Seconds a client has to deliver its whole request (request line,
 # headers and body); a connection still reading at the deadline is
@@ -128,8 +139,17 @@ async def _read_request(
     return method, path, body
 
 
+def _answer(status: str, key: str, entry: tuple[str, bytes]) -> dict:
+    """One response entry around a memoized ``(kind, result bytes)``."""
+    kind, result = entry
+    return {"status": status, "key": key, "kind": kind, "result": result}
+
+
 class ServiceDaemon:
     """Shared-store simulation service over one asyncio event loop.
+
+    The memo, the in-flight table and the counters are read and written
+    only on the event loop's thread.
 
     Args:
         config: session configuration every simulation runs under --
@@ -154,6 +174,9 @@ class ServiceDaemon:
         self.store = store
         self.use_processes = use_processes
         self.stats = SessionStats()
+        self.memo_hits = 0
+        self._memo: OrderedDict[str, tuple[str, bytes]] = OrderedDict()
+        self._memo_bytes = 0
         self._inflight: dict[str, asyncio.Future] = {}
         self._executor: Executor | None = None
         self._server: asyncio.AbstractServer | None = None
@@ -174,8 +197,24 @@ class ServiceDaemon:
                 )
         return self._executor
 
-    async def _run(self, key: str, request: SimRequest):
-        """Execute one cold simulation on the pool and persist it.
+    def _remember(self, key: str, result) -> tuple[str, bytes]:
+        """Encode a result once and memoize it, evicting past the budget.
+
+        Returns:
+            The ``(kind, result JSON bytes)`` entry, also when the
+            budget could not keep it.
+        """
+        encoded = wire.encode_result(result)
+        entry = encoded["kind"], json.dumps(encoded["result"]).encode()
+        self._memo[key] = entry
+        self._memo_bytes += len(entry[1])
+        while self._memo_bytes > MEMO_BUDGET_BYTES:
+            _, (_, evicted) = self._memo.popitem(last=False)
+            self._memo_bytes -= len(evicted)
+        return entry
+
+    async def _run(self, key: str, request: SimRequest) -> tuple[str, bytes]:
+        """Execute one cold simulation on the pool, persist and memoize it.
 
         A worker that dies breaks its process pool for good, so the
         broken pool is dropped and the next cold request builds a new
@@ -189,7 +228,7 @@ class ServiceDaemon:
             )
             self.stats.simulations += 1
             self.store.store(key, result)
-            return result
+            return self._remember(key, result)
         except BrokenProcessPool:
             if self._executor is pool:
                 pool.shutdown(wait=False, cancel_futures=True)
@@ -206,28 +245,41 @@ class ServiceDaemon:
 
         Returns:
             One response entry: ``status``, ``key``, ``kind`` and
-            ``result``.
+            ``result``, the result's JSON text as ``bytes`` (see
+            :func:`repro.service.wire.encode_body`).
 
         Raises:
             Exception: the simulation's own error, to every request
                 waiting on it.
         """
         key = canonical_key(request, self.config)
+        return await self._resolve(key, request)
+
+    async def _resolve(self, key: str, request: SimRequest) -> dict:
+        """Answer a keyed request from the memo, an in-flight simulation,
+        the store, or a new simulation, in that order.
+
+        A store entry is memoized only after ``ResultStore.load``
+        accepted it, so the memo never holds an entry the store rejects.
+        """
+        entry = self._memo.get(key)
+        if entry is not None:
+            self._memo.move_to_end(key)
+            self.memo_hits += 1
+            return _answer("hit", key, entry)
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.stats.hits += 1
-            result = await asyncio.shield(inflight)
-            return {"status": "hit", "key": key, **wire.encode_result(result)}
+            return _answer("hit", key, await asyncio.shield(inflight))
         cached = self.store.load(key)
         if cached is not None:
             self.stats.disk_hits += 1
-            return {"status": "hit", "key": key, **wire.encode_result(cached)}
+            return _answer("hit", key, self._remember(key, cached))
         future = asyncio.ensure_future(self._run(key, request))
         # Every waiter's shield retrieves the outcome.  A waiter is only
         # cancelled at shutdown, which cancels this task as well.
         self._inflight[key] = future
-        result = await asyncio.shield(future)
-        return {"status": "miss", "key": key, **wire.encode_result(result)}
+        return _answer("miss", key, await asyncio.shield(future))
 
     async def resolve_sweep(self, requests: list[SimRequest]) -> dict:
         """Answer a batched sweep, deduplicating within the batch.
@@ -239,7 +291,9 @@ class ServiceDaemon:
             requests: validated requests, envelope order preserved.
 
         Returns:
-            The ``/sweep`` response body: per-entry ``results`` plus a
+            The ``/sweep`` response body for
+            :func:`repro.service.wire.encode_body`: per-entry
+            ``results`` (each as :meth:`resolve` returns it) plus a
             batch-level ``stats`` tally of hit/miss counts.
         """
         unique: dict[str, SimRequest] = {}
@@ -249,9 +303,9 @@ class ServiceDaemon:
             keys.append(key)
             unique.setdefault(key, request)
         answers = await asyncio.gather(
-            *(self.resolve(request) for request in unique.values())
+            *(self._resolve(key, request) for key, request in unique.items())
         )
-        by_key = dict(zip(unique.keys(), answers))
+        by_key = dict(zip(unique, answers))
         entries = []
         tally = {"hit": 0, "miss": 0}
         seen: set[str] = set()
@@ -270,16 +324,24 @@ class ServiceDaemon:
             "stats": tally,
         }
 
-    def stats_body(self) -> dict:
-        """The ``/stats`` response body."""
+    async def stats_body(self) -> dict:
+        """The ``/stats`` response body.
+
+        The store scan parses every entry, so it runs on a worker
+        thread and never stalls the requests the loop is serving; the
+        counters are read on the loop once it is done.
+        """
+        store = await asyncio.to_thread(self.store.stats)
         return {
             "schema": wire.ENVELOPE_SCHEMA,
             "stats": {
+                "memo_hits": self.memo_hits,
                 "hits": self.stats.hits,
                 "disk_hits": self.stats.disk_hits,
                 "simulations": self.stats.simulations,
             },
-            "store": self.store.stats(),
+            "memo": {"entries": len(self._memo), "bytes": self._memo_bytes},
+            "store": store,
             "inflight": len(self._inflight),
             "config": self.config.to_dict(),
             "versions": {
@@ -291,8 +353,14 @@ class ServiceDaemon:
 
     # -- HTTP plumbing -----------------------------------------------------
 
-    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
-        """Route one HTTP request to its endpoint."""
+    async def _dispatch(
+        self, method: str, path: str, body: bytes
+    ) -> tuple[int, dict | bytes]:
+        """Route one HTTP request to its endpoint.
+
+        ``/simulate`` and ``/sweep`` answer finished body bytes, with
+        the memoized results spliced in; the other endpoints a dict.
+        """
         if path == "/healthz":
             if method != "GET":
                 return 405, wire.error_body("use GET for /healthz")
@@ -300,18 +368,20 @@ class ServiceDaemon:
         if path == "/stats":
             if method != "GET":
                 return 405, wire.error_body("use GET for /stats")
-            return 200, self.stats_body()
+            return 200, await self.stats_body()
         if path == "/simulate":
             if method != "POST":
                 return 405, wire.error_body("use POST for /simulate")
             request = wire.parse_simulate(wire.parse_body(body))
             answer = await self.resolve(request)
-            return 200, {"schema": wire.ENVELOPE_SCHEMA, **answer}
+            return 200, wire.encode_body(
+                {"schema": wire.ENVELOPE_SCHEMA, **answer}
+            )
         if path == "/sweep":
             if method != "POST":
                 return 405, wire.error_body("use POST for /sweep")
             requests = wire.parse_sweep(wire.parse_body(body))
-            return 200, await self.resolve_sweep(requests)
+            return 200, wire.encode_body(await self.resolve_sweep(requests))
         return 404, wire.error_body(
             f"unknown path {path!r}; endpoints: /simulate, /sweep, "
             "/stats, /healthz"
@@ -357,10 +427,14 @@ class ServiceDaemon:
 
     @staticmethod
     async def _write_response(
-        writer: asyncio.StreamWriter, status: int, payload: dict
+        writer: asyncio.StreamWriter, status: int, payload: dict | bytes
     ) -> None:
-        """Emit one JSON response and flush."""
-        body = json.dumps(payload).encode("utf-8")
+        """Emit one JSON response (a dict, or body bytes) and flush."""
+        body = (
+            payload
+            if isinstance(payload, bytes)
+            else json.dumps(payload).encode("utf-8")
+        )
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"

@@ -18,9 +18,13 @@ Response envelopes::
     {"schema": 2, "results": [{...}], "stats": {...}}       # /sweep
     {"schema": 2, "error": "<actionable message>"}          # 4xx/5xx
 
-``status`` provenance: ``hit`` -- served from the shared store or an
-in-flight computation another request started; ``miss`` -- this request
-triggered a cold simulation.
+``status`` provenance: ``hit`` -- served from the daemon's memo, an
+in-flight computation another request started, or the shared store;
+``miss`` -- this request triggered a cold simulation.
+
+The daemon keeps each answered result as its JSON bytes and splices
+them into the envelope with :func:`encode_body`, whose output equals
+``json.dumps`` of the decoded envelope byte for byte.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ __all__ = [
     "MAX_SWEEP_REQUESTS",
     "WireFormatError",
     "decode_result",
+    "encode_body",
     "encode_result",
     "error_body",
     "parse_body",
@@ -170,6 +175,33 @@ def encode_result(result) -> dict:
     """
     kind, data = encode_tagged(result)
     return {"kind": kind, "result": data}
+
+
+def encode_body(payload) -> bytes:
+    """``json.dumps(payload)`` as bytes, with ``bytes`` values spliced in.
+
+    A ``bytes`` value anywhere in the dicts and lists of ``payload``
+    must be the ``json.dumps`` text of the value it stands for (a
+    result the daemon memoized).  It is copied as it is, so the body
+    equals ``json.dumps`` of the decoded payload without decoding or
+    encoding the result again.
+
+    Args:
+        payload: a JSON value whose dict keys are strings.
+
+    Returns:
+        The UTF-8 (ASCII) body.
+    """
+    if isinstance(payload, bytes):
+        return payload
+    if isinstance(payload, dict):
+        return b"{" + b", ".join(
+            json.dumps(name).encode() + b": " + encode_body(value)
+            for name, value in payload.items()
+        ) + b"}"
+    if isinstance(payload, list):
+        return b"[" + b", ".join(map(encode_body, payload)) + b"]"
+    return json.dumps(payload).encode()
 
 
 def decode_result(kind: str, data: dict):

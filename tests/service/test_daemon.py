@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import socket
+import threading
 import time
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from repro.harness.runner import (
     SessionConfig,
     SimRequest,
     SimulationSession,
+    canonical_key,
     execute_request,
 )
 from repro.service import daemon as daemon_module
@@ -43,29 +45,34 @@ def service(tmp_path):
         yield ServiceClient(url), store
 
 
+def _http(url, method, path, body=None, timeout=30.0):
+    """One raw exchange of a JSON (or raw bytes) body: (status, body bytes)."""
+    host, port = url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=timeout)
+    try:
+        if body is not None and not isinstance(body, bytes):
+            body = json.dumps(body)
+        conn.request(method, path, body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
 def _get(url, path):
     """One raw GET, returning (status, parsed body)."""
-    host, port = url.removeprefix("http://").split(":")
-    conn = http.client.HTTPConnection(host, int(port), timeout=30)
-    try:
-        conn.request("GET", path)
-        response = conn.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        conn.close()
+    status, raw = _http(url, "GET", path)
+    return status, json.loads(raw)
 
 
-def _post(url, path, body):
-    """One raw POST of a JSON (or raw bytes) body."""
-    host, port = url.removeprefix("http://").split(":")
-    conn = http.client.HTTPConnection(host, int(port), timeout=30)
-    try:
-        payload = body if isinstance(body, bytes) else json.dumps(body)
-        conn.request("POST", path, payload)
-        response = conn.getresponse()
-        return response.status, json.loads(response.read())
-    finally:
-        conn.close()
+def _post(url, path, body, timeout=30.0):
+    """One raw POST of a JSON (or raw bytes) body: (status, parsed body)."""
+    status, raw = _http(url, "POST", path, body, timeout)
+    return status, json.loads(raw)
+
+
+def _url(client):
+    return f"http://{client.host}:{client.port}"
 
 
 class TestSimulate:
@@ -193,7 +200,10 @@ class TestStatsAndHealth:
         client.simulate("NCF")
         body = client.stats()
         assert body["stats"]["simulations"] == 1
-        assert body["stats"]["disk_hits"] + body["stats"]["hits"] >= 1
+        # The second NCF is answered from the daemon's memo.
+        assert body["stats"]["memo_hits"] == 1
+        assert body["stats"]["disk_hits"] == 0
+        assert body["memo"]["entries"] == 1
         assert body["store"] == store.stats()
         assert body["store"]["entries"] == 1
         assert body["store"]["stale_entries"] == 0
@@ -210,7 +220,7 @@ class TestHttpErrors:
     @pytest.fixture()
     def url(self, service):
         client, _store = service
-        return f"http://{client.host}:{client.port}"
+        return _url(client)
 
     def test_unknown_path_is_404(self, url):
         status, body = _get(url, "/teleport")
@@ -317,7 +327,7 @@ class TestCoalescing:
         first, second = _gather(daemon, request, request)
         assert (first["status"], second["status"]) == ("miss", "hit")
         assert daemon.stats.simulations == 1 and daemon.stats.hits == 1
-        assert json.dumps(first["result"]) == json.dumps(second["result"])
+        assert first["result"] == second["result"]
 
     def test_failure_reaches_every_waiter(self, daemon, monkeypatch):
         calls = []
@@ -336,6 +346,166 @@ class TestCoalescing:
         assert isinstance(again, RuntimeError) and len(calls) == 2
 
 
+@pytest.fixture(scope="module")
+def local():
+    """An in-process session under the daemons' configuration."""
+    return SimulationSession(config=QUICK)
+
+
+def _answer(local, status, request):
+    """The answer entry a daemon owes ``request``, built from an
+    in-process result with ``wire.encode_result``."""
+    return {
+        "status": status,
+        "key": canonical_key(request, QUICK),
+        **wire.encode_result(local.resolve(request)),
+    }
+
+
+def _simulate_body(local, status, request):
+    """The ``/simulate`` body a daemon owes: ``json.dumps`` of it."""
+    answer = _answer(local, status, request)
+    return json.dumps({"schema": wire.ENVELOPE_SCHEMA, **answer}).encode()
+
+
+class TestByteIdentity:
+    """Every answer's body is ``json.dumps`` of the envelope built from
+    an in-process result, whichever layer answered it."""
+
+    @pytest.mark.parametrize(
+        "request_",
+        [SimRequest.make("NCF"), SimRequest.make("NCF", nodes=4)],
+        ids=["workload", "scaleout"],
+    )
+    def test_miss_then_memo_hit(self, service, local, request_):
+        client, _store = service
+        for status in ("miss", "hit"):
+            assert _http(
+                _url(client), "POST", "/simulate",
+                {"request": request_.to_dict()},
+            ) == (200, _simulate_body(local, status, request_))
+        stats = client.stats()["stats"]
+        assert (stats["simulations"], stats["memo_hits"]) == (1, 1)
+        assert stats["disk_hits"] == 0
+
+    def test_store_hit_on_a_fresh_daemon(self, tmp_path, local):
+        request = SimRequest.make("NCF", progress=0.7)
+        store = ResultStore(tmp_path)
+        store.store(canonical_key(request, QUICK), local.resolve(request))
+        with background_daemon(QUICK, store) as (url, _thread):
+            for _ in range(2):  # the store answers, then the memo
+                assert _http(
+                    url, "POST", "/simulate", {"request": request.to_dict()}
+                ) == (200, _simulate_body(local, "hit", request))
+            stats = ServiceClient(url).stats()["stats"]
+        assert (stats["disk_hits"], stats["memo_hits"]) == (1, 1)
+        assert stats["simulations"] == 0
+
+    def test_sweep_with_an_in_batch_duplicate(self, service, local):
+        client, _store = service
+        requests = [SimRequest.make(model) for model in ("NCF", "SNLI", "NCF")]
+        expected = {
+            "schema": wire.ENVELOPE_SCHEMA,
+            "results": [
+                _answer(local, status, request)
+                for status, request in zip(("miss", "miss", "hit"), requests)
+            ],
+            "stats": {"hit": 1, "miss": 2},
+        }
+        assert _http(
+            _url(client), "POST", "/sweep",
+            {"requests": [request.to_dict() for request in requests]},
+        ) == (200, json.dumps(expected).encode())
+
+    def test_encode_body_equals_json_dumps(self):
+        payload = {"a": [1, 2.5, None, {"b": "\u00e9\""}], "c": {}, "d": []}
+        spliced = {**payload, "e": json.dumps(payload).encode()}
+        assert wire.encode_body(spliced) == json.dumps(
+            {**payload, "e": payload}
+        ).encode()
+
+
+class TestMemo:
+    def test_least_recently_used_entry_is_evicted(self, daemon, monkeypatch):
+        a, b, c = (SimRequest.make("NCF", seed=seed) for seed in (0, 1, 2))
+        (first_a,) = _gather(daemon, a)
+        budget = len(first_a["result"]) * 5 // 2  # about two entries
+        monkeypatch.setattr(daemon_module, "MEMO_BUDGET_BYTES", budget)
+        (first_b,) = _gather(daemon, b)
+        (hit_a,) = _gather(daemon, a)  # b is now the least recently used
+        _gather(daemon, c)
+        assert hit_a["result"] is first_a["result"]
+        assert list(daemon._memo) == [
+            canonical_key(request, QUICK) for request in (a, c)
+        ]
+        assert daemon._memo_bytes == sum(
+            len(result) for _kind, result in daemon._memo.values()
+        )
+        assert daemon._memo_bytes <= budget
+        (again,) = _gather(daemon, b)
+        assert again["status"] == "hit"
+        assert again["result"] == first_b["result"]
+        assert daemon.stats.disk_hits == 1 and daemon.stats.simulations == 3
+        assert daemon.memo_hits == 1
+
+    def test_corrupt_store_entry_is_simulated_again(self, tmp_path, local):
+        request = SimRequest.make("NCF")
+        store = ResultStore(tmp_path)
+        key = canonical_key(request, QUICK)
+        path = store.store(key, local.resolve(request))
+        entry = json.loads(path.read_text())
+        # The corruptions ResultCache.load must read as misses.
+        for text in (
+            "{not json",
+            '["not a cache entry"]',
+            json.dumps({**entry, "result": {"cycles": 1}}),
+            json.dumps({**entry, "kind": "nonsense"}),
+        ):
+            path.write_text(text)
+            fresh = ServiceDaemon(QUICK, store, use_processes=False)
+            try:
+                (answer,) = _gather(fresh, request)
+            finally:
+                asyncio.run(fresh.aclose())
+            assert answer["status"] == "miss"
+            assert fresh.stats.simulations == 1
+            assert answer["result"] == json.dumps(entry["result"]).encode()
+
+    def test_stats_scan_runs_off_the_event_loop(self, service, monkeypatch):
+        client, store = service
+        client.simulate("NCF")
+        scan = store.stats
+        entered, release = threading.Event(), threading.Event()
+
+        def blocked_scan():
+            entered.set()
+            release.wait(timeout=60)
+            return scan()
+
+        monkeypatch.setattr(store, "stats", blocked_scan)
+        replies = []
+        waiter = threading.Thread(
+            target=lambda: replies.append(_get(_url(client), "/stats"))
+        )
+        waiter.start()
+        try:
+            assert entered.wait(timeout=10)
+            # The loop answers a memo hit while the scan is blocked.
+            status, body = _post(
+                _url(client), "/simulate", {"request": {"model": "NCF"}},
+                timeout=5.0,
+            )
+            assert status == 200 and body["status"] == "hit"
+        finally:
+            release.set()
+            waiter.join(timeout=30)
+        assert not waiter.is_alive()
+        ((status, body),) = replies
+        assert status == 200
+        assert body["stats"]["memo_hits"] == 1
+        assert body["memo"]["entries"] == 1 and body["store"]["entries"] == 1
+
+
 def _exchange(url, data, timeout=10.0):
     """Send raw bytes on one connection; everything read until close."""
     host, port = url.removeprefix("http://").split(":")
@@ -351,7 +521,7 @@ class TestConnectionBounds:
     @pytest.fixture()
     def url(self, service):
         client, _store = service
-        return f"http://{client.host}:{client.port}"
+        return _url(client)
 
     def test_idle_and_stalled_clients_closed_at_deadline(
         self, url, monkeypatch

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.core.config import baseline_paper_config, fpraker_paper_config
+from repro.core.config import (
+    MAX_TILE_MAC_LANES,
+    baseline_paper_config,
+    fpraker_paper_config,
+)
 from repro.harness.report import Table
 from repro.harness.runner import (
     SessionConfig,
@@ -94,6 +98,20 @@ class TestSimRequestWireForm:
             ({"config": {"tile": {"pe": {"ob_skip": "no"}}}}, "ob_skip"),
             ({"config": {"base_delta_compression": "no"}},
              "base_delta_compression"),
+            # Each ran and returned the default's number: an exponent
+            # block shared by no PE read as 1, and no simulated number
+            # reads int_bits or chunk_size.
+            ({"config": {"tile": {"pe": {"exponent_sharing": 0}}}},
+             "exponent_sharing"),
+            ({"config": {"tile": {"pe": {"exponent_sharing": -2}}}},
+             "exponent_sharing"),
+            ({"config": {"tile": {"pe": {"accumulator": {"int_bits": -5}}}}},
+             "int_bits"),
+            ({"config": {"tile": {"pe": {"accumulator": {"chunk_size": 0}}}}},
+             "chunk_size"),
+            # One MAC lane over MAX_TILE_MAC_LANES (8 x 512 x 8 is at it).
+            ({"config": {"tile": {"cols": 512, "pe": {"lanes": 9}}}},
+             r"config\.tile .*<= 32768"),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
@@ -101,6 +119,16 @@ class TestSimRequestWireForm:
         data.update(patch)
         with pytest.raises(WireFormatError, match=needle):
             SimRequest.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "tile",
+        [{"cols": 512}, {"rows": 64, "cols": 64}, {"pe": {"lanes": 512}}],
+    )
+    def test_tile_at_the_mac_lane_bound_is_accepted(self, tile):
+        data = SimRequest.make("NCF").to_dict()
+        data["config"] = {"tile": tile}
+        config = SimRequest.from_dict(data).resolved_config()
+        assert config.tile.macs_per_group_step == MAX_TILE_MAC_LANES
 
 
 class TestEnvelopes:
