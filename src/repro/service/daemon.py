@@ -11,9 +11,9 @@ service:
   daemon answer is byte-identical to an in-process run with the same
   configuration;
 * keys are deduplicated four ways: against a bounded in-memory **memo**
-  of the result bytes already answered, against **in-flight**
-  computations (concurrent requests for one key coalesce onto one
-  simulation), against the shared
+  of the result bytes already answered (:data:`MEMO_BUDGET_BYTES`),
+  against **in-flight** computations (concurrent requests for one key
+  coalesce onto one simulation), against the shared
   :class:`repro.service.store.ResultStore` (the per-key JSON directory
   ``repro run --cache`` also reads and writes), and within a ``/sweep``
   batch;
@@ -21,9 +21,8 @@ service:
   :class:`concurrent.futures.ProcessPoolExecutor` sized by
   ``config.jobs`` (a thread pool in ``use_processes=False`` test mode);
 * every per-request answer carries ``hit|miss`` provenance (see
-  :mod:`repro.service.wire` for the envelope shapes) and splices the
-  memoized result bytes into its envelope; a simulation that fails
-  answers 500 to every request waiting on it, and is never memoized;
+  :mod:`repro.service.wire` for the envelope shapes); a simulation that
+  fails answers 500 to every request waiting on it;
 * each connection must deliver its request within
   :data:`READ_TIMEOUT_S` and at most :data:`MAX_HEADER_LINES` header
   lines, each within the stream limit.
@@ -60,10 +59,11 @@ from repro.service.store import ResultStore
 MAX_BODY_BYTES = 16 * 1024 * 1024
 
 # Result bytes the daemon memoizes; past the budget the least recently
-# used entry goes first.  The 231 entries of a `run all` store hold
-# 4.1 MB of results (median 19 KB, largest 29 KB), so 64 MiB keeps about
-# 3,500 typical entries.  An entry needs no invalidation: the memo lives
-# in one process and a key's result is a pure function of the key.
+# used entry goes first.  A safety cap, not a tuned size: the largest
+# working set measured, the 231 entries of a `run all` store, holds
+# 4.1 MB of results (median 19 KB), and 64 MiB keeps about 3,500 such
+# entries.  An entry needs no invalidation: the memo lives in one
+# process and a key's result is a pure function of the key.
 MEMO_BUDGET_BYTES = 64 * 1024 * 1024
 
 # Seconds a client has to deliver its whole request (request line,
@@ -353,14 +353,8 @@ class ServiceDaemon:
 
     # -- HTTP plumbing -----------------------------------------------------
 
-    async def _dispatch(
-        self, method: str, path: str, body: bytes
-    ) -> tuple[int, dict | bytes]:
-        """Route one HTTP request to its endpoint.
-
-        ``/simulate`` and ``/sweep`` answer finished body bytes, with
-        the memoized results spliced in; the other endpoints a dict.
-        """
+    async def _dispatch(self, method: str, path: str, body: bytes) -> tuple[int, dict]:
+        """Route one HTTP request to its endpoint."""
         if path == "/healthz":
             if method != "GET":
                 return 405, wire.error_body("use GET for /healthz")
@@ -374,14 +368,12 @@ class ServiceDaemon:
                 return 405, wire.error_body("use POST for /simulate")
             request = wire.parse_simulate(wire.parse_body(body))
             answer = await self.resolve(request)
-            return 200, wire.encode_body(
-                {"schema": wire.ENVELOPE_SCHEMA, **answer}
-            )
+            return 200, {"schema": wire.ENVELOPE_SCHEMA, **answer}
         if path == "/sweep":
             if method != "POST":
                 return 405, wire.error_body("use POST for /sweep")
             requests = wire.parse_sweep(wire.parse_body(body))
-            return 200, wire.encode_body(await self.resolve_sweep(requests))
+            return 200, await self.resolve_sweep(requests)
         return 404, wire.error_body(
             f"unknown path {path!r}; endpoints: /simulate, /sweep, "
             "/stats, /healthz"
@@ -427,14 +419,10 @@ class ServiceDaemon:
 
     @staticmethod
     async def _write_response(
-        writer: asyncio.StreamWriter, status: int, payload: dict | bytes
+        writer: asyncio.StreamWriter, status: int, payload: dict
     ) -> None:
-        """Emit one JSON response (a dict, or body bytes) and flush."""
-        body = (
-            payload
-            if isinstance(payload, bytes)
-            else json.dumps(payload).encode("utf-8")
-        )
+        """Emit one JSON response and flush."""
+        body = wire.encode_body(payload)
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             "Content-Type: application/json\r\n"

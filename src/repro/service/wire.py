@@ -21,10 +21,6 @@ Response envelopes::
 ``status`` provenance: ``hit`` -- served from the daemon's memo, an
 in-flight computation another request started, or the shared store;
 ``miss`` -- this request triggered a cold simulation.
-
-The daemon keeps each answered result as its JSON bytes and splices
-them into the envelope with :func:`encode_body`, whose output equals
-``json.dumps`` of the decoded envelope byte for byte.
 """
 
 from __future__ import annotations
@@ -181,10 +177,9 @@ def encode_body(payload) -> bytes:
     """``json.dumps(payload)`` as bytes, with ``bytes`` values spliced in.
 
     A ``bytes`` value anywhere in the dicts and lists of ``payload``
-    must be the ``json.dumps`` text of the value it stands for (a
-    result the daemon memoized).  It is copied as it is, so the body
-    equals ``json.dumps`` of the decoded payload without decoding or
-    encoding the result again.
+    must be the ``json.dumps`` text of the value it stands for; it is
+    copied as it is, so the body equals ``json.dumps`` of the decoded
+    payload.
 
     Args:
         payload: a JSON value whose dict keys are strings.

@@ -417,6 +417,23 @@ class TestByteIdentity:
             {"requests": [request.to_dict() for request in requests]},
         ) == (200, json.dumps(expected).encode())
 
+    def test_bodies_without_results_equal_json_dumps(self, service):
+        client, _store = service
+        client.simulate("NCF")
+        url = _url(client)
+        healthy = {"schema": wire.ENVELOPE_SCHEMA, "ok": True}
+        assert _http(url, "GET", "/healthz") == (
+            200, json.dumps(healthy).encode()
+        )
+        for method, path, body, status in (
+            ("GET", "/stats", None, 200),
+            ("GET", "/teleport", None, 404),
+            ("POST", "/simulate", {"request": {"model": "Nöpe"}}, 400),
+        ):
+            got_status, raw = _http(url, method, path, body)
+            assert got_status == status
+            assert raw == json.dumps(json.loads(raw)).encode()
+
     def test_encode_body_equals_json_dumps(self):
         payload = {"a": [1, 2.5, None, {"b": "\u00e9\""}], "c": {}, "d": []}
         spliced = {**payload, "e": json.dumps(payload).encode()}
