@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro import codec
 from repro.compression.base_delta import mean_compression_ratio
 from repro.core.config import AcceleratorConfig, TileConfig, fpraker_paper_config
 from repro.core.stats import SimCounters
@@ -60,41 +61,6 @@ class LayerPhaseResult:
     dram_bytes: float
     dram_bytes_raw: float
     energy: EnergyBreakdown
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "model": self.model,
-            "layer": self.layer,
-            "phase": self.phase,
-            "macs": self.macs,
-            "serial_tensor": self.serial_tensor,
-            "compute_cycles": self.compute_cycles,
-            "dram_cycles": self.dram_cycles,
-            "cycles": self.cycles,
-            "counters": self.counters.to_dict(),
-            "dram_bytes": self.dram_bytes,
-            "dram_bytes_raw": self.dram_bytes_raw,
-            "energy": self.energy.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LayerPhaseResult":
-        """Rebuild a phase result from :meth:`to_dict` output."""
-        return cls(
-            model=data["model"],
-            layer=data["layer"],
-            phase=data["phase"],
-            macs=int(data["macs"]),
-            serial_tensor=data["serial_tensor"],
-            compute_cycles=float(data["compute_cycles"]),
-            dram_cycles=float(data["dram_cycles"]),
-            cycles=float(data["cycles"]),
-            counters=SimCounters.from_dict(data["counters"]),
-            dram_bytes=float(data["dram_bytes"]),
-            dram_bytes_raw=float(data["dram_bytes_raw"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-        )
 
 
 @dataclass
@@ -159,21 +125,9 @@ class WorkloadResult:
         return other.cycles_of_phase(phase) / own
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "name": self.name,
-            "model": self.model,
-            "phases": [p.to_dict() for p in self.phases],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkloadResult":
-        """Rebuild a workload result from :meth:`to_dict` output."""
-        return cls(
-            name=data["name"],
-            model=data["model"],
-            phases=[LayerPhaseResult.from_dict(p) for p in data["phases"]],
-        )
+        """JSON-serializable form (exact float round-trip; read back
+        with ``codec.from_dict(WorkloadResult, data, path)``)."""
+        return codec.to_dict(self)
 
 
 def _sample_runs(

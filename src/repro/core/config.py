@@ -24,17 +24,26 @@ area, so 36 FPRaker tiles fit in the area of 8 baseline tiles
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass, field, replace
 
-from repro.fp.accumulator import AccumulatorSpec, check_config_fields
+from repro import codec
+from repro.fp.accumulator import AccumulatorSpec
 
+# Upper bounds of the size fields, so that one simulation fits one
+# worker's memory; docs/SERVICE.md lists the peak RSS measured at each.
 # MAC lanes one tile may have (rows x cols x lanes): 64x the paper's
 # 8 x 8 x 8 tile, and 32x Fig 19's largest (16 x 8 x 8).  A strip
-# simulation's memory grows with this product.  The widest tile at the
-# bound, 8 x 512 x 8, is the dearest measured: 1.4 GB peak and 22 s for
-# a whole VGG16 at the default sampling (64 x 64 x 8: 310 MB, 13 s).
+# simulation's memory grows with this product.
 MAX_TILE_MAC_LANES = 32_768
+# PE columns per tile.  Columns cost a strip simulation far more memory
+# than rows or lanes at one product (NCF's AxW phase: 697 MB at
+# 8 x 512 x 8, 264 MB at 512 x 8 x 8, 87 MB at 8 x 8 x 512).
+MAX_COLS = 64
+# Tiles, per-PE run-ahead buffers and the shift window: 36, 2 and 3 in
+# the paper, at most 144, 8 and 12 in Fig 19 and the examples.
+MAX_TILES = 4096
+MAX_BUFFER_DEPTH = 64
+MAX_SHIFT_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -61,17 +70,18 @@ class PEConfig:
             PE 2.5x the size.
     """
 
-    lanes: int = 8
-    shift_window: int = 3
+    lanes: int = field(default=8, metadata={"minimum": 1})
+    shift_window: int = field(
+        default=3, metadata={"minimum": 0, "maximum": MAX_SHIFT_WINDOW}
+    )
     ob_skip: bool = True
     accumulator: AccumulatorSpec = field(default_factory=AccumulatorSpec)
-    exponent_sharing: int = 2
+    exponent_sharing: int = field(default=2, metadata={"minimum": 1})
     saturate_shifts: bool = True
 
     def __post_init__(self) -> None:
-        """Reject a mistyped field, a PE without MAC lanes or exponent
-        block, or a negative shift window."""
-        check_config_fields(self, lanes=1, shift_window=0, exponent_sharing=1)
+        """Reject a field of the wrong type or out of its bounds."""
+        codec.check(self)
 
     @property
     def min_group_cycles(self) -> int:
@@ -97,15 +107,17 @@ class TileConfig:
         pe: per-PE parameters.
     """
 
-    rows: int = 8
-    cols: int = 8
-    buffer_depth: int = 2
+    rows: int = field(default=8, metadata={"minimum": 1})
+    cols: int = field(default=8, metadata={"minimum": 1, "maximum": MAX_COLS})
+    buffer_depth: int = field(
+        default=2, metadata={"minimum": 0, "maximum": MAX_BUFFER_DEPTH}
+    )
     pe: PEConfig = field(default_factory=PEConfig)
 
     def __post_init__(self) -> None:
-        """Reject a mistyped field, an empty PE grid, a negative buffer
-        depth, or more than :data:`MAX_TILE_MAC_LANES` MAC lanes."""
-        check_config_fields(self, rows=1, cols=1, buffer_depth=0)
+        """Reject a field of the wrong type or out of its bounds, or
+        more than :data:`MAX_TILE_MAC_LANES` MAC lanes."""
+        codec.check(self)
         if self.macs_per_group_step > MAX_TILE_MAC_LANES:
             raise ValueError(
                 f"rows x cols x pe.lanes must be <= {MAX_TILE_MAC_LANES}, "
@@ -140,22 +152,21 @@ class AcceleratorConfig:
     """
 
     name: str = "fpraker"
-    tiles: int = 36
+    tiles: int = field(
+        default=36, metadata={"minimum": 1, "maximum": MAX_TILES}
+    )
     tile: TileConfig = field(default_factory=TileConfig)
-    clock_mhz: float = 600.0
-    serial_side_selection: str = "auto"
+    clock_mhz: float = field(
+        default=600.0, metadata={"exclusive_minimum": 0}
+    )
+    serial_side_selection: str = field(
+        default="auto", metadata={"choices": ("auto", "a", "b")}
+    )
     base_delta_compression: bool = True
 
     def __post_init__(self) -> None:
         """Reject a configuration no simulator can run."""
-        check_config_fields(self, tiles=1)
-        if not self.clock_mhz > 0:
-            raise ValueError(f"clock_mhz must be > 0, got {self.clock_mhz!r}")
-        if self.serial_side_selection not in ("auto", "a", "b"):
-            raise ValueError(
-                "serial_side_selection must be 'auto', 'a' or 'b', got "
-                f"{self.serial_side_selection!r}"
-            )
+        codec.check(self)
 
     @property
     def total_pes(self) -> int:
@@ -166,97 +177,6 @@ class AcceleratorConfig:
     def peak_macs_per_cycle(self) -> int:
         """MAC issue slots per cycle across the accelerator."""
         return self.total_pes * self.tile.pe.lanes
-
-
-def _config_from_mapping(
-    cls: type,
-    data: Any,
-    path: str,
-    nested: Mapping[str, Callable[[Any, str], Any]],
-) -> Any:
-    """Rebuild one (frozen) config dataclass from its ``asdict`` form.
-
-    Args:
-        cls: the dataclass to construct.
-        data: the mapping to read fields from.
-        path: dotted location for error messages (``"config.tile.pe"``).
-        nested: per-field builders for sub-dataclass values.
-
-    Returns:
-        The constructed instance; omitted fields keep their defaults.
-
-    Raises:
-        ValueError: on a non-mapping value, an unknown field name, or a
-            field value the dataclass rejects -- every message names the
-            dotted path so wire-level callers can act on it.
-    """
-    if not isinstance(data, Mapping):
-        raise ValueError(
-            f"{path} must be an object of {cls.__name__} fields, "
-            f"got {type(data).__name__}"
-        )
-    names = [f.name for f in fields(cls)]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise ValueError(
-            f"{path} has unknown field(s) {', '.join(map(repr, unknown))}; "
-            f"known fields: {', '.join(names)}"
-        )
-    kwargs = {}
-    for name in names:
-        if name not in data:
-            continue
-        value = data[name]
-        builder = nested.get(name)
-        kwargs[name] = (
-            builder(value, f"{path}.{name}") if builder is not None else value
-        )
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a valid {cls.__name__}: {exc}")
-
-
-def _accumulator_from_dict(data: Any, path: str) -> AccumulatorSpec:
-    """AccumulatorSpec from its ``asdict`` form (see ``_config_from_mapping``)."""
-    return _config_from_mapping(AccumulatorSpec, data, path, {})
-
-
-def _pe_from_dict(data: Any, path: str) -> PEConfig:
-    """PEConfig from its ``asdict`` form (see ``_config_from_mapping``)."""
-    return _config_from_mapping(
-        PEConfig, data, path, {"accumulator": _accumulator_from_dict}
-    )
-
-
-def _tile_from_dict(data: Any, path: str) -> TileConfig:
-    """TileConfig from its ``asdict`` form (see ``_config_from_mapping``)."""
-    return _config_from_mapping(TileConfig, data, path, {"pe": _pe_from_dict})
-
-
-def accelerator_config_from_dict(data: Any) -> AcceleratorConfig:
-    """Reconstruct an :class:`AcceleratorConfig` from its ``asdict`` form.
-
-    The inverse of ``dataclasses.asdict`` over the nested config tree
-    (accelerator -> tile -> PE -> accumulator), used by the wire format
-    to accept explicit configurations over HTTP.  Round trip is exact:
-    ``accelerator_config_from_dict(asdict(config)) == config`` for every
-    constructible config, so canonical cache keys (which serialize the
-    ``asdict`` tree) are preserved across the wire.
-
-    Args:
-        data: mapping as produced by ``dataclasses.asdict(config)``;
-            omitted fields keep their dataclass defaults.
-
-    Returns:
-        The reconstructed configuration.
-
-    Raises:
-        ValueError: naming the dotted field path on any malformed input.
-    """
-    return _config_from_mapping(
-        AcceleratorConfig, data, "config", {"tile": _tile_from_dict}
-    )
 
 
 def fpraker_paper_config(**overrides) -> AcceleratorConfig:

@@ -78,15 +78,6 @@ class LaneLedger:
         total = self.total()
         return self.useful / total if total else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {name: getattr(self, name) for name in self.CATEGORIES}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LaneLedger":
-        """Rebuild a ledger from :meth:`to_dict` output."""
-        return cls(**{name: float(data[name]) for name in cls.CATEGORIES})
-
 
 @dataclass
 class TermLedger:
@@ -127,23 +118,6 @@ class TermLedger:
         skipped = self.zero_skipped + self.ob_skipped
         return self.ob_skipped / skipped if skipped else 0.0
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "processed": self.processed,
-            "zero_skipped": self.zero_skipped,
-            "ob_skipped": self.ob_skipped,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TermLedger":
-        """Rebuild a ledger from :meth:`to_dict` output."""
-        return cls(
-            processed=float(data["processed"]),
-            zero_skipped=float(data["zero_skipped"]),
-            ob_skipped=float(data["ob_skipped"]),
-        )
-
 
 @dataclass
 class SimCounters:
@@ -158,9 +132,9 @@ class SimCounters:
         exponent_invocations: exponent-block activations (one per group).
         accumulator_updates: accumulator register writes.
         memory: event-level memory-hierarchy activity; None when the
-            simulation ran under the roofline memory engine (keeps the
-            serialized form -- and therefore cached results -- of
-            roofline runs unchanged).
+            simulation ran under the roofline memory engine, and then
+            left out of the serialized form, so roofline results read
+            as they did before the memory counters existed.
     """
 
     cycles: float = 0.0
@@ -185,42 +159,3 @@ class SimCounters:
             if self.memory is None:
                 self.memory = MemoryTrafficResult()
             self.memory.add(other.memory, weight)
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip).
-
-        The ``memory`` key is present only for hierarchy-engine runs, so
-        roofline results serialize exactly as they did before the
-        memory counters existed.
-        """
-        data = {
-            "cycles": self.cycles,
-            "groups": self.groups,
-            "macs": self.macs,
-            "lanes": self.lanes.to_dict(),
-            "terms": self.terms.to_dict(),
-            "exponent_invocations": self.exponent_invocations,
-            "accumulator_updates": self.accumulator_updates,
-        }
-        if self.memory is not None:
-            data["memory"] = self.memory.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimCounters":
-        """Rebuild counters from :meth:`to_dict` output."""
-        memory = data.get("memory")
-        return cls(
-            cycles=float(data["cycles"]),
-            groups=float(data["groups"]),
-            macs=float(data["macs"]),
-            lanes=LaneLedger.from_dict(data["lanes"]),
-            terms=TermLedger.from_dict(data["terms"]),
-            exponent_invocations=float(data["exponent_invocations"]),
-            accumulator_updates=float(data["accumulator_updates"]),
-            memory=(
-                MemoryTrafficResult.from_dict(memory)
-                if memory is not None
-                else None
-            ),
-        )

@@ -117,23 +117,6 @@ class CoreEnergy:
         """Total core energy in nJ."""
         return self.compute + self.control + self.accumulation
 
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "compute": self.compute,
-            "control": self.control,
-            "accumulation": self.accumulation,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CoreEnergy":
-        """Rebuild a split from :meth:`to_dict` output."""
-        return cls(
-            compute=float(data["compute"]),
-            control=float(data["control"]),
-            accumulation=float(data["accumulation"]),
-        )
-
 
 @dataclass
 class EnergyBreakdown:
@@ -161,23 +144,6 @@ class EnergyBreakdown:
         self.core.accumulation += other.core.accumulation
         self.on_chip += other.on_chip
         self.off_chip += other.off_chip
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "core": self.core.to_dict(),
-            "on_chip": self.on_chip,
-            "off_chip": self.off_chip,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EnergyBreakdown":
-        """Rebuild a breakdown from :meth:`to_dict` output."""
-        return cls(
-            core=CoreEnergy.from_dict(data["core"]),
-            on_chip=float(data["on_chip"]),
-            off_chip=float(data["off_chip"]),
-        )
 
 
 @dataclass(frozen=True)

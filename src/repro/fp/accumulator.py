@@ -23,10 +23,11 @@ Glossary used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import codec
 from repro.fp.bfloat16 import bf16_fields
 from repro.fp.softfloat import BFLOAT16, FloatFormat, quantize
 
@@ -79,48 +80,6 @@ def exact_product(a: float, b: float) -> Product:
     return Product(sign=sign, exp=int(ea) + int(eb), sig=int(ma) * int(mb))
 
 
-# The type a config field of each declared type must be an instance of
-# (a bool passes only where the field is declared bool).  Fields of
-# other types, the nested configs, go unchecked.
-_FIELD_TYPES = {"int": int, "bool": bool, "float": (int, float), "str": str}
-
-
-def check_config_fields(config, **minimums: int) -> None:
-    """Check a frozen config dataclass's fields from its ``__post_init__``.
-
-    An ``int`` field takes an ``int`` that is not a ``bool``, a ``bool``
-    field a ``bool``, and a ``float`` field an ``int`` or ``float`` that
-    is not a ``bool``, stored as a ``float`` (so ``600`` and ``600.0``
-    make one config, and one cache key).  Shared by
-    :class:`AccumulatorSpec` and the configs of :mod:`repro.core.config`.
-
-    Args:
-        config: the dataclass instance.
-        **minimums: the lowest value each named field takes.
-
-    Raises:
-        TypeError: naming the first field of the wrong type.
-        ValueError: naming the first field below its minimum.
-    """
-    for field in fields(config):
-        expected = _FIELD_TYPES.get(field.type)
-        if expected is None:
-            continue
-        value = getattr(config, field.name)
-        if not isinstance(value, expected) or (
-            isinstance(value, bool) and expected is not bool
-        ):
-            raise TypeError(
-                f"{field.name} must be {field.type}, got {value!r}"
-            )
-        if field.type == "float":
-            object.__setattr__(config, field.name, float(value))
-    for name, minimum in minimums.items():
-        value = getattr(config, name)
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AccumulatorSpec:
     """Geometry of the extended accumulator.
@@ -137,14 +96,13 @@ class AccumulatorSpec:
             chunk size 64).
     """
 
-    frac_bits: int = 12
-    int_bits: int = 4
-    chunk_size: int = 64
+    frac_bits: int = field(default=12, metadata={"minimum": 0})
+    int_bits: int = field(default=4, metadata={"minimum": 0})
+    chunk_size: int = field(default=64, metadata={"minimum": 1})
 
     def __post_init__(self) -> None:
-        """Reject a non-integer width, a negative ``frac_bits`` or
-        ``int_bits``, or a ``chunk_size`` below 1."""
-        check_config_fields(self, frac_bits=0, int_bits=0, chunk_size=1)
+        """Reject a field of the wrong type or out of its bounds."""
+        codec.check(self)
 
     @property
     def total_bits(self) -> int:

@@ -4,7 +4,8 @@ One file per key, holding the JSON round-trip of a
 :class:`repro.core.accelerator.WorkloadResult`, a
 :class:`repro.scale.ScaleOutResult` or a tuple of
 :class:`repro.harness.report.Table` (via ``to_dict``; a ``kind`` tag
-picks the class on the way back).  Python's ``json`` emits
+picks the class on the way back, and :mod:`repro.codec` reads the
+simulation results).  Python's ``json`` emits
 shortest-round-trip float literals, so a loaded result is bit-identical
 to the computed one -- warm ``run`` invocations reproduce cold ones
 exactly.  Simulations are keyed by
@@ -29,6 +30,7 @@ import os
 import tempfile
 from pathlib import Path
 
+from repro import codec
 from repro.core.accelerator import WorkloadResult
 from repro.harness.report import Table
 
@@ -91,7 +93,7 @@ def decode_tagged(kind, data):
     kind; a malformed payload raises ``KeyError``, ``TypeError`` or
     ``ValueError``)."""
     if kind == "workload":
-        return WorkloadResult.from_dict(data)
+        return codec.from_dict(WorkloadResult, data, "result")
     if kind == "tables":
         if not isinstance(data, list) or not data:
             raise ValueError("tables entry is not a non-empty list")
@@ -99,7 +101,7 @@ def decode_tagged(kind, data):
     if kind == "scaleout":
         from repro.scale.scaleout import ScaleOutResult
 
-        return ScaleOutResult.from_dict(data)
+        return codec.from_dict(ScaleOutResult, data, "result")
     raise ValueError(f"unknown result kind {kind!r}")
 
 

@@ -25,14 +25,14 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from repro import codec
 from repro.core import simulator_for
 from repro.core.accelerator import WorkloadResult
 from repro.core.config import (
     AcceleratorConfig,
-    accelerator_config_from_dict,
     baseline_paper_config,
     fpraker_paper_config,
     pragmatic_paper_config,
@@ -88,12 +88,16 @@ class SimRequest:
 
     model: str
     config: AcceleratorConfig | None = None
-    progress: float = 0.5
-    seed: int = 0
+    progress: float = field(
+        default=0.5, metadata={"minimum": 0.0, "maximum": 1.0}
+    )
+    seed: int = field(default=0, metadata={"minimum": 0})
     acc_profile: tuple[tuple[str, int], ...] | None = None
     phases: tuple[str, ...] | None = None
-    nodes: int = 1
-    partition: str = "data"
+    nodes: int = field(default=1, metadata={"minimum": 1})
+    partition: str = field(
+        default="data", metadata={"choices": ("data", "model", "pipeline")}
+    )
 
     @staticmethod
     def make(
@@ -130,47 +134,30 @@ class SimRequest:
     def to_dict(self) -> dict:
         """This request as its versioned public wire form.
 
-        The inverse of :meth:`from_dict`; the dict is JSON-ready and
-        carries a ``schema`` tag (:data:`WIRE_SCHEMA_VERSION`) so future
-        incompatible revisions are detected instead of misread.
-
-        Returns:
-            A JSON-serializable dict of every request field.
+        The fields as :func:`repro.codec.to_dict` writes them (a field
+        left at its ``None`` default is left out) under a ``schema``
+        tag (:data:`WIRE_SCHEMA_VERSION`), so that a future
+        incompatible revision is detected instead of misread.
         """
-        return {
-            "schema": WIRE_SCHEMA_VERSION,
-            "model": self.model,
-            "config": asdict(self.config) if self.config is not None else None,
-            "progress": self.progress,
-            "seed": self.seed,
-            "acc_profile": (
-                [list(pair) for pair in self.acc_profile]
-                if self.acc_profile is not None
-                else None
-            ),
-            "phases": (
-                list(self.phases) if self.phases is not None else None
-            ),
-            "nodes": self.nodes,
-            "partition": self.partition,
-        }
+        return {"schema": WIRE_SCHEMA_VERSION, **codec.to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: object) -> "SimRequest":
         """Validate and build a request from its wire form.
 
-        Every field is checked individually; a malformed payload raises
-        :class:`WireFormatError` naming the field and the expected shape
-        (never a bare ``KeyError``), so HTTP clients get errors they can
-        act on.  Only ``model`` is required -- omitted fields take the
-        dataclass defaults, and a missing ``schema`` tag is accepted as
-        the current version.
+        Every field is checked; a malformed payload raises
+        :class:`WireFormatError` naming the field and the expected
+        shape, so HTTP clients get errors they can act on.  Only
+        ``model`` is required: omitted fields, and ``null`` ones where
+        the default is ``None``, take the defaults, and a missing
+        ``schema`` tag is read as the current version.
 
         Args:
             data: a mapping as produced by :meth:`to_dict`.
 
         Returns:
-            The validated :class:`SimRequest`.
+            The validated :class:`SimRequest`, its ``acc_profile``
+            sorted by layer.
 
         Raises:
             WireFormatError: on any malformed field, unknown field name,
@@ -187,98 +174,35 @@ class SimRequest:
                 f"unsupported wire schema {schema!r}; this build speaks "
                 f"schema {WIRE_SCHEMA_VERSION}"
             )
-        known = (
-            "schema", "model", "config", "progress", "seed",
-            "acc_profile", "phases", "nodes", "partition",
-        )
-        unknown = sorted(set(data) - set(known))
-        if unknown:
+        payload = {name: data[name] for name in data if name != "schema"}
+        try:
+            request = codec.from_dict(cls, payload, "")
+        except ValueError as exc:
+            raise WireFormatError(str(exc)) from None
+        if request.model not in MODEL_ZOO:
             raise WireFormatError(
-                f"unknown request field(s) {', '.join(map(repr, unknown))}; "
-                f"known fields: {', '.join(known)}"
+                f"model must be a Table-I model, got {request.model!r}; "
+                f"known models: {', '.join(sorted(MODEL_ZOO))}"
             )
-        model = data.get("model")
-        if not isinstance(model, str) or not model:
-            raise WireFormatError(
-                "field 'model' is required and must be a non-empty "
-                "Table-I model name string"
-            )
-        if model not in MODEL_ZOO:
-            raise WireFormatError(
-                f"field 'model' names unknown model {model!r}; known "
-                f"models: {', '.join(sorted(MODEL_ZOO))}"
-            )
-        config = data.get("config")
-        if config is not None:
-            try:
-                config = accelerator_config_from_dict(config)
-            except ValueError as exc:
-                raise WireFormatError(f"field 'config' is invalid: {exc}")
-        progress = data.get("progress", 0.5)
-        if (
-            isinstance(progress, bool)
-            or not isinstance(progress, (int, float))
-            or not 0.0 <= float(progress) <= 1.0
+        profile = request.acc_profile
+        if profile is not None:
+            if any(bits < 0 for _, bits in profile):
+                raise WireFormatError(
+                    "acc_profile must be a list of [layer_name, frac_bits] "
+                    f"pairs with frac_bits >= 0, got {data['acc_profile']!r}"
+                )
+            # As make() builds it: sorted by layer, and None if empty.
+            profile = tuple(sorted(dict(profile).items())) or None
+            request = replace(request, acc_profile=profile)
+        if request.phases is not None and (
+            not request.phases
+            or not set(request.phases).issubset(_KNOWN_PHASES)
         ):
             raise WireFormatError(
-                "field 'progress' must be a number in [0, 1], "
-                f"got {progress!r}"
+                "phases must be a non-empty list drawn from "
+                f"{list(_KNOWN_PHASES)}, got {data['phases']!r}"
             )
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise WireFormatError(
-                f"field 'seed' must be an integer >= 0, got {seed!r}"
-            )
-        acc_profile = data.get("acc_profile")
-        profile_dict: dict[str, int] | None = None
-        if acc_profile is not None:
-            if not isinstance(acc_profile, (list, tuple)) or not all(
-                isinstance(pair, (list, tuple))
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and isinstance(pair[1], int)
-                and not isinstance(pair[1], bool)
-                and pair[1] >= 0
-                for pair in acc_profile
-            ):
-                raise WireFormatError(
-                    "field 'acc_profile' must be null or a list of "
-                    "[layer_name, frac_bits] pairs with frac_bits >= 0, "
-                    f"got {acc_profile!r}"
-                )
-            profile_dict = dict(acc_profile)
-        phases = data.get("phases")
-        if phases is not None:
-            if not isinstance(phases, (list, tuple)) or not phases or not all(
-                isinstance(phase, str) and phase in _KNOWN_PHASES
-                for phase in phases
-            ):
-                raise WireFormatError(
-                    "field 'phases' must be null or a non-empty list "
-                    f"drawn from {list(_KNOWN_PHASES)}, got {phases!r}"
-                )
-            phases = tuple(phases)
-        nodes = data.get("nodes", 1)
-        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
-            raise WireFormatError(
-                f"field 'nodes' must be an integer >= 1, got {nodes!r}"
-            )
-        partition = data.get("partition", "data")
-        if partition not in ("data", "model", "pipeline"):
-            raise WireFormatError(
-                "field 'partition' must be one of 'data', 'model', "
-                f"'pipeline', got {partition!r}"
-            )
-        return cls.make(
-            model=model,
-            config=config,
-            progress=float(progress),
-            seed=seed,
-            acc_profile=profile_dict,
-            phases=phases,
-            nodes=nodes,
-            partition=partition,
-        )
+        return request
 
 
 def canonical_key(request: SimRequest, config: SessionConfig) -> str:
@@ -301,7 +225,7 @@ def canonical_key(request: SimRequest, config: SessionConfig) -> str:
     accelerator = request.resolved_config()
     spec = {
         "model": request.model,
-        "config": asdict(accelerator),
+        "config": codec.to_dict(accelerator),
         "progress": request.progress,
         "seed": request.seed,
         "acc_profile": list(request.acc_profile or ()),
@@ -392,32 +316,20 @@ class SessionConfig:
 
     jobs: int = 1
     cache_dir: str | None = None
-    sample_strips: int = 8
-    sample_steps: int = 32
-    sim_seed: int = 1234
-    memory_engine: str = "roofline"
+    sample_strips: int = field(default=8, metadata={"minimum": 1})
+    sample_steps: int = field(default=32, metadata={"minimum": 1})
+    sim_seed: int = field(default=1234, metadata={"minimum": 0})
+    memory_engine: str = field(
+        default="roofline", metadata={"choices": ("roofline", "hierarchy")}
+    )
 
     def __post_init__(self) -> None:
-        """Validate and normalize every field (frozen-safe)."""
+        """Normalize ``jobs`` and ``cache_dir``, then check every field
+        (frozen-safe)."""
         object.__setattr__(self, "jobs", max(1, int(self.jobs)))
-        for name in ("sample_strips", "sample_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if isinstance(self.sim_seed, bool) or not isinstance(
-            self.sim_seed, int
-        ):
-            raise ValueError(
-                f"sim_seed must be an integer, got {self.sim_seed!r}"
-            )
-        if self.sim_seed < 0:
-            raise ValueError(f"sim_seed must be >= 0, got {self.sim_seed}")
-        if self.memory_engine not in ("roofline", "hierarchy"):
-            raise ValueError(f"unknown memory engine {self.memory_engine!r}")
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", os.fspath(self.cache_dir))
+        codec.check(self)
 
     @property
     def workload_cache_spec(self) -> str:
@@ -428,69 +340,9 @@ class SessionConfig:
         return str(Path(self.cache_dir) / "workloads")
 
     def to_dict(self) -> dict:
-        """This configuration as its versioned public wire form."""
-        return {
-            "schema": WIRE_SCHEMA_VERSION,
-            "jobs": self.jobs,
-            "cache_dir": self.cache_dir,
-            "sample_strips": self.sample_strips,
-            "sample_steps": self.sample_steps,
-            "sim_seed": self.sim_seed,
-            "memory_engine": self.memory_engine,
-        }
-
-    @classmethod
-    def from_dict(cls, data: object) -> "SessionConfig":
-        """Validate and build a configuration from its wire form.
-
-        Args:
-            data: a mapping as produced by :meth:`to_dict`; omitted
-                fields take the defaults.
-
-        Returns:
-            The validated :class:`SessionConfig`.
-
-        Raises:
-            WireFormatError: on a non-mapping payload, unknown field, or
-                schema mismatch; ``ValueError`` surfaces field-level
-                validation failures from ``__post_init__``.
-        """
-        if not isinstance(data, dict):
-            raise WireFormatError(
-                "session config must be a JSON object of SessionConfig "
-                f"fields, got {type(data).__name__}"
-            )
-        schema = data.get("schema", WIRE_SCHEMA_VERSION)
-        if schema != WIRE_SCHEMA_VERSION:
-            raise WireFormatError(
-                f"unsupported wire schema {schema!r}; this build speaks "
-                f"schema {WIRE_SCHEMA_VERSION}"
-            )
-        known = (
-            "schema", "jobs", "cache_dir", "sample_strips", "sample_steps",
-            "sim_seed", "memory_engine",
-        )
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise WireFormatError(
-                f"unknown config field(s) {', '.join(map(repr, unknown))}; "
-                f"known fields: {', '.join(known)}"
-            )
-        values = {
-            "jobs": data.get("jobs"),
-            "cache_dir": data.get("cache_dir"),
-            "sample_strips": data.get("sample_strips"),
-            "sample_steps": data.get("sample_steps"),
-            "sim_seed": data.get("sim_seed"),
-            "memory_engine": data.get("memory_engine"),
-        }
-        kwargs = {}
-        for name, value in values.items():
-            # None never survives validation for any field, so absent
-            # and null both mean "use the default".
-            if value is not None:
-                kwargs[name] = value
-        return cls(**kwargs)
+        """This configuration as its versioned public wire form (the
+        ``config`` object of the daemon's ``/stats``)."""
+        return {"schema": WIRE_SCHEMA_VERSION, **codec.to_dict(self)}
 
 
 @dataclass

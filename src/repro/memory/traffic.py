@@ -133,8 +133,7 @@ class MemoryTrafficResult:
     """Event-level memory-hierarchy activity of one simulation scope.
 
     All fields are floats so scaled aggregation (:meth:`add` with a
-    weight) composes the same way the other simulator ledgers do, and
-    ``to_dict``/``from_dict`` round-trip exactly through JSON.
+    weight) composes the same way the other simulator ledgers do.
 
     Attributes:
         dram_bytes: container-granular effective off-chip bytes
@@ -190,15 +189,6 @@ class MemoryTrafficResult:
             setattr(
                 self, name, getattr(self, name) + getattr(other, name) * weight
             )
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MemoryTrafficResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(**{name: float(data[name]) for name in cls.FIELDS})
 
 
 def _stream_containers(stream) -> float:

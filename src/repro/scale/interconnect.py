@@ -145,16 +145,6 @@ class CommStats:
     latency_cycles: float = 0.0
     energy_nj: float = 0.0
 
-    FIELDS = (
-        "payload_bytes",
-        "wire_bytes",
-        "steps",
-        "link_cycles",
-        "dram_cycles",
-        "latency_cycles",
-        "energy_nj",
-    )
-
     @property
     def cycles(self) -> float:
         """Communication time of the node for one training step.
@@ -164,15 +154,6 @@ class CommStats:
         serialized on top.
         """
         return max(self.link_cycles, self.dram_cycles) + self.latency_cycles
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {name: getattr(self, name) for name in self.FIELDS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CommStats":
-        """Rebuild stats from :meth:`to_dict` output."""
-        return cls(**{name: float(data[name]) for name in cls.FIELDS})
 
 
 def price_comm(

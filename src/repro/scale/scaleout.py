@@ -21,9 +21,9 @@ Contracts, mirrored from the repo's engine-dispatch pattern:
 * **symmetric shards simulate once**: data- and model-parallel nodes
   are identical by construction, so node 0's simulation stands in for
   all N -- an N-node sweep costs one node simulation, not N.
-* results serialize exactly (``to_dict``/``from_dict`` float
-  round-trip), so scale-out runs ride the same session memo and disk
-  cache as single-node runs.
+* results serialize exactly (:mod:`repro.codec`'s float round trip),
+  so scale-out runs ride the same session memo and disk cache as
+  single-node runs.
 
 The pipeline makespan uses the standard GPipe schedule: with M
 micro-batches over S active stages, the step takes
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro import codec
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.baseline import BaselineAccelerator
 from repro.core.stats import SimCounters
@@ -77,35 +78,6 @@ class NodeSummary:
     def step_cycles(self) -> float:
         """Compute plus communication time of the node for one step."""
         return self.cycles + self.comm.cycles
-
-    def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "node_id": self.node_id,
-            "layer_phases": self.layer_phases,
-            "macs": self.macs,
-            "cycles": self.cycles,
-            "compute_cycles": self.compute_cycles,
-            "dram_cycles": self.dram_cycles,
-            "counters": self.counters.to_dict(),
-            "energy": self.energy.to_dict(),
-            "comm": self.comm.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NodeSummary":
-        """Rebuild a summary from :meth:`to_dict` output."""
-        return cls(
-            node_id=int(data["node_id"]),
-            layer_phases=int(data["layer_phases"]),
-            macs=float(data["macs"]),
-            cycles=float(data["cycles"]),
-            compute_cycles=float(data["compute_cycles"]),
-            dram_cycles=float(data["dram_cycles"]),
-            counters=SimCounters.from_dict(data["counters"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-            comm=CommStats.from_dict(data["comm"]),
-        )
 
 
 def _summarize(
@@ -177,41 +149,9 @@ class ScaleOutResult:
         return other.cycles / self.cycles
 
     def to_dict(self) -> dict:
-        """JSON-serializable form (exact float round-trip)."""
-        return {
-            "name": self.name,
-            "model": self.model,
-            "scheme": self.scheme,
-            "nodes": self.nodes,
-            "microbatches": self.microbatches,
-            "node_summaries": [s.to_dict() for s in self.node_summaries],
-            "cycles": self.cycles,
-            "node_cycles": self.node_cycles,
-            "comm_cycles": self.comm_cycles,
-            "counters": self.counters.to_dict(),
-            "energy": self.energy.to_dict(),
-            "link_energy_nj": self.link_energy_nj,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScaleOutResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            name=data["name"],
-            model=data["model"],
-            scheme=data["scheme"],
-            nodes=int(data["nodes"]),
-            microbatches=int(data["microbatches"]),
-            node_summaries=[
-                NodeSummary.from_dict(s) for s in data["node_summaries"]
-            ],
-            cycles=float(data["cycles"]),
-            node_cycles=float(data["node_cycles"]),
-            comm_cycles=float(data["comm_cycles"]),
-            counters=SimCounters.from_dict(data["counters"]),
-            energy=EnergyBreakdown.from_dict(data["energy"]),
-            link_energy_nj=float(data["link_energy_nj"]),
-        )
+        """JSON-serializable form (exact float round-trip; read back
+        with ``codec.from_dict(ScaleOutResult, data, path)``)."""
+        return codec.to_dict(self)
 
 
 def _aggregate(

@@ -37,6 +37,7 @@ import asyncio
 import contextlib
 import json
 import queue
+import signal
 import threading
 from collections import OrderedDict
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -139,6 +140,21 @@ async def _read_request(
     return method, path, body
 
 
+async def _outcome(future: asyncio.Future) -> tuple[str, bytes]:
+    """What an in-flight simulation answers, for one of its waiters.
+
+    The shield lets each waiter go without cancelling the simulation.
+    When ``aclose`` cancels the simulation, its waiters get an error
+    rather than a cancellation, so their handlers end normally.
+    """
+    try:
+        return await asyncio.shield(future)
+    except asyncio.CancelledError:
+        if not future.cancelled():
+            raise  # the waiter itself was cancelled
+        raise RuntimeError("the daemon shut down before it finished") from None
+
+
 def _answer(status: str, key: str, entry: tuple[str, bytes]) -> dict:
     """One response entry around a memoized ``(kind, result bytes)``."""
     kind, result = entry
@@ -178,6 +194,9 @@ class ServiceDaemon:
         self._memo: OrderedDict[str, tuple[str, bytes]] = OrderedDict()
         self._memo_bytes = 0
         self._inflight: dict[str, asyncio.Future] = {}
+        # Each open connection's handler task and writer, so that
+        # aclose can end them.
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._executor: Executor | None = None
         self._server: asyncio.AbstractServer | None = None
 
@@ -270,16 +289,14 @@ class ServiceDaemon:
         inflight = self._inflight.get(key)
         if inflight is not None:
             self.stats.hits += 1
-            return _answer("hit", key, await asyncio.shield(inflight))
+            return _answer("hit", key, await _outcome(inflight))
         cached = self.store.load(key)
         if cached is not None:
             self.stats.disk_hits += 1
             return _answer("hit", key, self._remember(key, cached))
         future = asyncio.ensure_future(self._run(key, request))
-        # Every waiter's shield retrieves the outcome.  A waiter is only
-        # cancelled at shutdown, which cancels this task as well.
         self._inflight[key] = future
-        return _answer("miss", key, await asyncio.shield(future))
+        return _answer("miss", key, await _outcome(future))
 
     async def resolve_sweep(self, requests: list[SimRequest]) -> dict:
         """Answer a batched sweep, deduplicating within the batch.
@@ -387,6 +404,9 @@ class ServiceDaemon:
         The request must arrive within :data:`READ_TIMEOUT_S`; an idle
         or stalled client is closed unanswered at the deadline.
         """
+        task = asyncio.current_task()
+        assert task is not None  # a handler always runs as a task
+        self._connections[task] = writer
         try:
             try:
                 request = await asyncio.wait_for(
@@ -413,6 +433,7 @@ class ServiceDaemon:
         ):
             pass  # client went away, or missed the read deadline
         finally:
+            self._connections.pop(task, None)
             with contextlib.suppress(ConnectionError):
                 writer.close()
                 await writer.wait_closed()
@@ -459,7 +480,8 @@ class ServiceDaemon:
             await self._server.serve_forever()
 
     async def aclose(self) -> None:
-        """Stop accepting, cancel in-flight work, release the pool."""
+        """Stop accepting, cancel in-flight work, close the open
+        connections and wait for their handlers, release the pool."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -467,6 +489,11 @@ class ServiceDaemon:
         for future in list(self._inflight.values()):
             future.cancel()
         self._inflight.clear()
+        # A handler whose connection drops returns on its own; one
+        # cancelled instead would be logged by asyncio's stream layer.
+        for writer in self._connections.values():
+            writer.transport.abort()
+        await asyncio.gather(*self._connections, return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
@@ -497,6 +524,17 @@ async def _serve(
         await daemon.aclose()
 
 
+async def _serve_until_terminated(
+    config: SessionConfig, store: ResultStore, host: str, port: int
+) -> None:
+    """:func:`_serve` on a process pool, cancelled by SIGTERM as by
+    Ctrl-C, so that the daemon closes and its pool workers exit."""
+    task = asyncio.current_task()
+    assert task is not None  # asyncio.run runs this as its main task
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, task.cancel)
+    await _serve(config, store, host, port, use_processes=True)
+
+
 def run_daemon(
     config: SessionConfig,
     store: ResultStore,
@@ -512,11 +550,12 @@ def run_daemon(
         port: TCP port.
 
     Returns:
-        Process exit code (0 on clean shutdown via Ctrl-C).
+        Process exit code: 0 on a clean shutdown by Ctrl-C or SIGTERM,
+        once the pool workers have exited.
     """
     try:
-        asyncio.run(_serve(config, store, host, port, use_processes=True))
-    except KeyboardInterrupt:
+        asyncio.run(_serve_until_terminated(config, store, host, port))
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro serve: shut down", flush=True)
     return 0
 
@@ -537,12 +576,12 @@ def background_daemon(
     """
     ready: "queue.Queue[int]" = queue.Queue()
     loop = asyncio.new_event_loop()
+    task = loop.create_task(
+        _serve(config, store, host, 0, use_processes, ready)
+    )
 
     def _target() -> None:
         asyncio.set_event_loop(loop)
-        task = loop.create_task(
-            _serve(config, store, host, 0, use_processes, ready)
-        )
         try:
             loop.run_until_complete(task)
         except asyncio.CancelledError:
@@ -556,9 +595,7 @@ def background_daemon(
     try:
         yield f"http://{host}:{bound_port}", thread
     finally:
-        def _cancel() -> None:
-            for task in asyncio.all_tasks(loop):
-                task.cancel()
-
-        loop.call_soon_threadsafe(_cancel)
+        # The serve task's aclose ends every connection handler, so no
+        # task is left pending when the loop closes.
+        loop.call_soon_threadsafe(task.cancel)
         thread.join(timeout=30)

@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro import codec
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.memory.dram import DRAMModel
@@ -28,7 +29,7 @@ MODELS = ("NCF", "SNLI", "SqueezeNet 1.1")
 
 
 def _counters_sans_memory(counters) -> dict:
-    data = counters.to_dict()
+    data = codec.to_dict(counters)
     data.pop("memory", None)
     return data
 
@@ -147,9 +148,11 @@ class TestSessionRoundTrip:
         result = AcceleratorSimulator(
             **QUICK, memory_engine=engine
         ).simulate_workload(workloads)
-        back = WorkloadResult.from_dict(json.loads(json.dumps(result.to_dict())))
+        back = codec.from_dict(
+            WorkloadResult, json.loads(json.dumps(result.to_dict())), "result"
+        )
         assert back.to_dict() == result.to_dict()
         if engine == "hierarchy":
             restored = back.counters_total().memory
             original = result.counters_total().memory
-            assert restored.to_dict() == original.to_dict()
+            assert codec.to_dict(restored) == codec.to_dict(original)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codec
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.config import PEConfig, TileConfig, fpraker_paper_config
 from repro.core.pragmatic import PragmaticFPAccelerator
@@ -232,7 +233,7 @@ class TestLoopFreeStripSchedule:
 
 
 def _phase_dicts(phases):
-    return [phase.to_dict() for phase in phases]
+    return [codec.to_dict(phase) for phase in phases]
 
 
 def _serial_reference(sim, workload):
@@ -364,7 +365,9 @@ class TestAcceleratorEngines:
         workload = _phase_workload(3)
         sim = cls()
         batched = sim.simulate_phase(workload)
-        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()
+        assert codec.to_dict(batched) == codec.to_dict(
+            _serial_reference(sim, workload)
+        )
 
     def test_engines_identical_on_empty_streams(self):
         workload = _phase_workload(4)
@@ -372,7 +375,9 @@ class TestAcceleratorEngines:
         workload.values_b = np.array([])
         sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
         batched = sim.simulate_phase(workload)
-        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()
+        assert codec.to_dict(batched) == codec.to_dict(
+            _serial_reference(sim, workload)
+        )
 
     def test_engines_identical_on_zero_streams(self):
         workload = _phase_workload(5)
@@ -380,4 +385,6 @@ class TestAcceleratorEngines:
         workload.values_b = np.zeros(512)
         sim = AcceleratorSimulator(sample_strips=2, sample_steps=8)
         batched = sim.simulate_phase(workload)
-        assert batched.to_dict() == _serial_reference(sim, workload).to_dict()
+        assert codec.to_dict(batched) == codec.to_dict(
+            _serial_reference(sim, workload)
+        )

@@ -7,31 +7,43 @@ A warm run is right only while two contracts hold:
   values ``execute_request`` receives), and each parameter of
   :func:`workload_key` and :func:`table_key`.  Each table below names
   every field, so a new field fails the test until it is classified.
-* **Serialization.** Every class with ``to_dict``/``from_dict``, built
-  with each field at a distinct non-default value, comes back equal
-  through JSON text.  Distinct values make a key read into the wrong
-  field fail on every run.
+* **Serialization.** Every dataclass :mod:`repro.codec` serializes
+  (and ``Table``, which keeps its own pair), built with each field at a
+  distinct non-default value, comes back equal through JSON text.
+  Distinct values make a key read into the wrong field fail on every
+  run.  Three cache entries written before the codec pin its bytes.
 """
 
 import dataclasses
-import importlib
 import inspect
 import itertools
 import json
-import pkgutil
 import types
 import typing
+from pathlib import Path
 
 import pytest
 
-import repro
+from repro import codec
 from repro.core.accelerator import LayerPhaseResult, WorkloadResult
-from repro.core.config import pragmatic_paper_config
+from repro.core.config import (
+    AcceleratorConfig,
+    PEConfig,
+    TileConfig,
+    pragmatic_paper_config,
+)
 from repro.core.stats import LaneLedger, SimCounters, TermLedger
 from repro.energy.model import CoreEnergy, EnergyBreakdown
-from repro.harness.cache import table_key
+from repro.fp.accumulator import AccumulatorSpec
+from repro.harness.cache import ResultCache, decode_tagged, table_key
 from repro.harness.report import Table
-from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
+from repro.harness.runner import (
+    SessionConfig,
+    SimRequest,
+    SimulationSession,
+    canonical_key,
+    execute_request,
+)
 from repro.memory.traffic import MemoryTrafficResult
 from repro.scale.interconnect import CommStats
 from repro.scale.scaleout import NodeSummary, ScaleOutResult
@@ -141,8 +153,15 @@ def test_keys_sort_their_top_level_names():
 
 # -- serialization ---------------------------------------------------------
 
-# Every class under ``repro`` that defines both methods.
+# The classes the codec writes and reads start from the result kinds the
+# caches and the daemon store and the two wire contracts; every
+# dataclass their fields reach is serialized with them.
+CODEC_ROOTS = (WorkloadResult, ScaleOutResult, SimRequest, SessionConfig)
+
+# Every serialized class: the codec's, and Table with its own pair.
 SERIALIZED = (
+    AcceleratorConfig,
+    AccumulatorSpec,
     CommStats,
     CoreEnergy,
     EnergyBreakdown,
@@ -150,16 +169,18 @@ SERIALIZED = (
     LayerPhaseResult,
     MemoryTrafficResult,
     NodeSummary,
+    PEConfig,
     ScaleOutResult,
     SessionConfig,
     SimCounters,
     SimRequest,
     Table,
     TermLedger,
+    TileConfig,
     WorkloadResult,
 )
 
-# These three validate their input, so they are built by hand.
+# These validate their input, so they are built by hand.
 HAND_BUILT = {
     SimRequest: SimRequest.make(
         "SNLI",
@@ -182,29 +203,67 @@ HAND_BUILT = {
     Table: Table("Speedup", ["model", "speedup"], [["NCF", 1.5], ["SNLI", 2]]),
 }
 
+# One roofline and one hierarchy NCF AxW result and one 2-node
+# scale-out result, each stored as its ResultCache entry by the code
+# before the codec: its bytes, key included, must not change.
+ENTRIES = Path(__file__).parent / "fixtures" / "cache_entries"
+PINNED_SAMPLING = SessionConfig(sample_strips=1, sample_steps=4)
+PINNED_ENTRIES = {
+    "workload_roofline": (
+        SimRequest.make("NCF", phases=("AxW",)),
+        PINNED_SAMPLING,
+    ),
+    "workload_hierarchy": (
+        SimRequest.make("NCF", phases=("AxW",)),
+        dataclasses.replace(PINNED_SAMPLING, memory_engine="hierarchy"),
+    ),
+    "scaleout_2node": (
+        SimRequest.make("NCF", phases=("AxW",), nodes=2),
+        PINNED_SAMPLING,
+    ),
+}
 
-def serialized_classes():
-    """Every class under ``repro`` that defines to_dict and from_dict."""
-    found = set()
-    for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        module = importlib.import_module(info.name)
-        for value in vars(module).values():
-            if (
-                inspect.isclass(value)
-                and value.__module__ == module.__name__
-                and {"to_dict", "from_dict"} <= set(vars(value))
-            ):
-                found.add(value)
+
+def leaf_types(hint):
+    """The classes a field type is built from (``list[X] | None`` -> X)."""
+    args = typing.get_args(hint)
+    if not args:
+        return [hint]
+    return [leaf for arg in args for leaf in leaf_types(arg)]
+
+
+def codec_classes():
+    """Every dataclass reachable from CODEC_ROOTS through field types."""
+    found, todo = set(), list(CODEC_ROOTS)
+    while todo:
+        cls = todo.pop()
+        if cls not in found:
+            found.add(cls)
+            for hint in typing.get_type_hints(cls).values():
+                todo += filter(dataclasses.is_dataclass, leaf_types(hint))
     return found
 
 
-def build(hint, counter):
-    """A value of type ``hint``; scalars are distinct per ``counter``."""
+def default_of(f):
+    """The default of dataclass field ``f`` (MISSING if none)."""
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return f.default
+
+
+def build(hint, counter, default=dataclasses.MISSING, choices=()):
+    """A value of type ``hint`` that is not ``default``; scalars are
+    distinct per ``counter``."""
     if dataclasses.is_dataclass(hint):
         hints = typing.get_type_hints(hint)
         return hint(
             **{
-                f.name: build(hints[f.name], counter)
+                f.name: build(
+                    hints[f.name],
+                    counter,
+                    default_of(f),
+                    f.metadata.get("choices", ()),
+                )
                 for f in dataclasses.fields(hint)
             }
         )
@@ -213,8 +272,14 @@ def build(hint, counter):
         return [build(args[0], counter) for _ in range(2)]
     if origin in (typing.Union, types.UnionType):
         (inner,) = [arg for arg in args if arg is not type(None)]
-        return build(inner, counter)
+        return build(inner, counter, default, choices)
+    if hint is bool:
+        return not default
+    if choices:
+        return next(choice for choice in choices if choice != default)
     n = next(counter)
+    while n == default:
+        n = next(counter)
     if hint is int:
         return n
     if hint is float:
@@ -226,21 +291,15 @@ def build(hint, counter):
 
 def fields_at_default(obj):
     """Names of the fields of ``obj`` that hold their default value."""
-    names = []
-    for f in dataclasses.fields(obj):
-        if f.default is not dataclasses.MISSING:
-            default = f.default
-        elif f.default_factory is not dataclasses.MISSING:
-            default = f.default_factory()
-        else:
-            continue
-        if getattr(obj, f.name) == default:
-            names.append(f.name)
-    return names
+    return [
+        f.name
+        for f in dataclasses.fields(obj)
+        if getattr(obj, f.name) == default_of(f)
+    ]
 
 
 def test_table_lists_every_serialized_class():
-    assert serialized_classes() == set(SERIALIZED)
+    assert codec_classes() | {Table} == set(SERIALIZED)
 
 
 @pytest.mark.parametrize("cls", SERIALIZED, ids=lambda cls: cls.__name__)
@@ -250,5 +309,21 @@ def test_round_trip_through_json_is_exact(cls):
     else:
         obj = build(cls, itertools.count(1))
     assert fields_at_default(obj) == []
-    data = json.loads(json.dumps(obj.to_dict()))
-    assert cls.from_dict(data) == obj
+    if "from_dict" in vars(cls):  # the public wire pair of its own
+        back = cls.from_dict(json.loads(json.dumps(obj.to_dict())))
+    else:
+        data = json.loads(json.dumps(codec.to_dict(obj)))
+        back = codec.from_dict(cls, data, cls.__name__)
+    assert back == obj
+
+
+@pytest.mark.parametrize("name", PINNED_ENTRIES)
+def test_cache_entry_bytes_are_pinned(name, tmp_path):
+    request, config = PINNED_ENTRIES[name]
+    text = (ENTRIES / f"{name}.json").read_bytes()
+    result = execute_request(request, config)
+    cache = ResultCache(tmp_path)
+    path = cache.store(canonical_key(request, config), result)
+    assert path.read_bytes() == text
+    entry = json.loads(text)
+    assert decode_tagged(entry["kind"], entry["result"]) == result

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import codec
 from repro.core.accelerator import AcceleratorSimulator, WorkloadResult
 from repro.core.config import baseline_paper_config, fpraker_paper_config
 from repro.core.workload import PhaseWorkload
@@ -102,16 +103,16 @@ class TestCanonicalKey:
 class TestResultSerialization:
     def test_workload_result_round_trip_exact(self):
         result = _simulated_result()
-        back = WorkloadResult.from_dict(
-            json.loads(json.dumps(result.to_dict()))
+        back = codec.from_dict(
+            WorkloadResult, json.loads(json.dumps(result.to_dict())), "result"
         )
         assert back.name == result.name and back.model == result.model
         assert back.cycles == result.cycles  # exact, not approx
         assert back.macs == result.macs
         assert back.energy_total().total == result.energy_total().total
         c1, c2 = back.counters_total(), result.counters_total()
-        assert c1.lanes.to_dict() == c2.lanes.to_dict()
-        assert c1.terms.to_dict() == c2.terms.to_dict()
+        assert c1.lanes == c2.lanes
+        assert c1.terms == c2.terms
         assert back.phases[0].serial_tensor == result.phases[0].serial_tensor
 
     def test_result_cache_round_trip(self, tmp_path):
@@ -270,7 +271,7 @@ class TestParallelDeterminism:
         a = serial.simulate("NCF")
         b = parallel.simulate("NCF")
         assert a.cycles == b.cycles
-        assert a.counters_total().lanes.to_dict() == b.counters_total().lanes.to_dict()
+        assert a.counters_total().lanes == b.counters_total().lanes
         assert a.energy_total().total == b.energy_total().total
 
     def test_figures_share_session_results(self):

@@ -5,12 +5,13 @@ import json
 import pytest
 
 import repro.api as api
+from repro import codec
 from repro.core.config import baseline_paper_config
 from repro.harness.runner import (
+    WIRE_SCHEMA_VERSION,
     SessionConfig,
     SimRequest,
     SimulationSession,
-    WireFormatError,
 )
 
 QUICK = SessionConfig(sample_strips=2, sample_steps=8)
@@ -51,8 +52,12 @@ class TestSessionConfigValidation:
             SessionConfig(sim_seed=-5)
         assert SessionConfig(sim_seed=0).sim_seed == 0
 
-    def test_memory_engine_message_matches_legacy(self):
-        with pytest.raises(ValueError, match="unknown memory engine 'dram'"):
+    def test_memory_engine_message_names_the_choices(self):
+        with pytest.raises(
+            ValueError,
+            match="memory_engine must be one of 'roofline', 'hierarchy', "
+            "got 'dram'",
+        ):
             SessionConfig(memory_engine="dram")
 
     def test_paths_normalized_to_strings(self, tmp_path):
@@ -84,32 +89,30 @@ class TestSessionConfigWireForm:
             sim_seed=7,
             memory_engine="hierarchy",
         )
-        back = SessionConfig.from_dict(
-            json.loads(json.dumps(config.to_dict()))
-        )
-        assert back == config
+        data = json.loads(json.dumps(config.to_dict()))
+        assert data.pop("schema") == WIRE_SCHEMA_VERSION
+        assert codec.from_dict(SessionConfig, data, "config") == config
 
     def test_omitted_fields_take_defaults(self):
-        assert SessionConfig.from_dict({"jobs": 2}) == SessionConfig(jobs=2)
+        back = codec.from_dict(SessionConfig, {"jobs": 2}, "config")
+        assert back == SessionConfig(jobs=2)
+        # A None left at its default is left out of the wire form.
+        assert "cache_dir" not in SessionConfig().to_dict()
 
     def test_non_mapping_rejected(self):
-        with pytest.raises(WireFormatError, match="JSON object"):
-            SessionConfig.from_dict([1, 2])
+        with pytest.raises(ValueError, match="object"):
+            codec.from_dict(SessionConfig, [1, 2], "config")
 
     def test_unknown_field_named(self):
-        with pytest.raises(WireFormatError, match="turbo"):
-            SessionConfig.from_dict({"turbo": True})
+        with pytest.raises(ValueError, match="turbo"):
+            codec.from_dict(SessionConfig, {"turbo": True}, "config")
         # A retired knob is an unknown field like any other.
-        with pytest.raises(WireFormatError, match="workload_cache"):
-            SessionConfig.from_dict({"workload_cache": False})
-
-    def test_foreign_schema_rejected(self):
-        with pytest.raises(WireFormatError, match="schema"):
-            SessionConfig.from_dict({"schema": 99})
+        with pytest.raises(ValueError, match="workload_cache"):
+            codec.from_dict(SessionConfig, {"workload_cache": False}, "config")
 
     def test_field_validation_still_applies(self):
-        with pytest.raises(ValueError, match="memory engine"):
-            SessionConfig.from_dict({"memory_engine": "dram"})
+        with pytest.raises(ValueError, match=r"config\.memory_engine"):
+            codec.from_dict(SessionConfig, {"memory_engine": "dram"}, "config")
 
 
 class TestConstructor:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import codec
 from repro.core.workload import PhaseWorkload, StreamSpec
 from repro.memory.container import CONTAINER_BYTES, container_count
 from repro.memory.dram import DRAMModel
@@ -42,10 +43,12 @@ class TestMemoryTrafficResult:
             transposer_blocks=8.0, transposer_cycles=9.9,
             scratchpad_bytes=10.1,
         )
-        back = MemoryTrafficResult.from_dict(
-            json.loads(json.dumps(result.to_dict()))
+        back = codec.from_dict(
+            MemoryTrafficResult,
+            json.loads(json.dumps(codec.to_dict(result))),
+            "memory",
         )
-        assert back.to_dict() == result.to_dict()
+        assert codec.to_dict(back) == codec.to_dict(result)
 
     def test_memory_cycles_is_binding_resource(self):
         result = MemoryTrafficResult(
@@ -69,7 +72,7 @@ class TestStridedBurstValidation:
 class TestPhaseTraffic:
     def test_empty_workload_is_all_zero(self):
         traffic = phase_traffic(_workload())
-        assert traffic.to_dict() == MemoryTrafficResult().to_dict()
+        assert traffic == MemoryTrafficResult()
         assert traffic.memory_cycles == 0.0
 
     def test_fallback_streams_price_byte_totals(self):

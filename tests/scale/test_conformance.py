@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import codec
 from repro.core import simulator_for
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
@@ -50,12 +51,11 @@ def _assert_matches(scale_result, single_result):
     assert scale_result.node_cycles == single_result.cycles
     assert scale_result.comm_cycles == 0.0
     assert scale_result.link_energy_nj == 0.0
-    assert (
-        scale_result.counters.to_dict()
-        == single_result.counters_total().to_dict()
+    assert codec.to_dict(scale_result.counters) == codec.to_dict(
+        single_result.counters_total()
     )
-    assert (
-        scale_result.energy.to_dict() == single_result.energy_total().to_dict()
+    assert codec.to_dict(scale_result.energy) == codec.to_dict(
+        single_result.energy_total()
     )
 
 
@@ -178,7 +178,7 @@ class TestSingleNodeProperty:
         assert len(result.node_summaries) == nodes
         assert np.isfinite(result.cycles) and result.cycles > 0
         assert result.cycles >= result.node_cycles
-        round_trip = type(result).from_dict(result.to_dict())
+        round_trip = codec.from_dict(type(result), result.to_dict(), "result")
         assert round_trip.to_dict() == result.to_dict()
 
 
@@ -214,7 +214,7 @@ class TestMultiNodeBehavior:
                 _node(fpraker_paper_config()), nodes=8, scheme=scheme
             ).simulate_workload(ncf_workloads, model="NCF")
             assert len(calls) == 1
-            dicts = [s.to_dict() for s in result.node_summaries]
+            dicts = [codec.to_dict(s) for s in result.node_summaries]
             for entry in dicts:
                 entry.pop("node_id")
             assert len(dicts) == 8

@@ -2,16 +2,25 @@
 in-flight coalescing driven through ``ServiceDaemon.resolve``."""
 
 import asyncio
+import contextlib
+import gc
 import http.client
 import json
+import logging
 import os
+import re
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.config import baseline_paper_config
 from repro.harness.runner import (
     SessionConfig,
@@ -627,3 +636,95 @@ class TestConnect:
     def test_malformed_url_rejected(self):
         with pytest.raises(ServiceError, match="http"):
             ServiceClient("ftp://example")
+
+
+class TestShutdown:
+    def test_sigterm_exits_cleanly_with_its_workers(self, tmp_path):
+        src = str(Path(repro.__file__).parents[1])
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])
+            ),
+        }
+        command = [
+            sys.executable, "-m", "repro", "serve",
+            "--store", str(tmp_path / "store"), "--port", "0", "--jobs", "1",
+        ]
+        # Its own session, so that the group holds the daemon and its
+        # pool workers only.
+        process = subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True, env=env, start_new_session=True,
+        )
+        try:
+            url = None
+            for line in process.stdout:  # up to the listening line
+                url = re.search(r"http://[\d.]+:\d+", line)
+                if url:
+                    break
+            assert url, "the daemon exited before listening"
+            status, body = _post(
+                url.group(0), "/simulate",
+                {"request": {"model": "NCF", "phases": ["AxW"]}},
+                timeout=120,
+            )
+            assert (status, body["status"]) == (200, "miss")
+            process.terminate()
+            assert process.wait(timeout=60) == 0
+            assert "shut down" in process.stdout.read()
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(process.pid, signal.SIGKILL)
+            process.wait(timeout=60)
+            process.stdout.close()
+
+    def test_idle_connection_at_exit_logs_nothing(self, tmp_path, caplog):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        with background_daemon(QUICK, ResultStore(tmp_path)) as (url, thread):
+            host, port = url.removeprefix("http://").split(":")
+            idle = socket.create_connection((host, int(port)), timeout=10)
+            # Connections are accepted in order: once this one is
+            # answered, the idle one has its handler.
+            assert _get(url, "/healthz")[0] == 200
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert idle.recv(1) == b""  # the daemon closed it
+        idle.close()
+        gc.collect()  # a task destroyed pending is logged when collected
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_request_in_flight_at_exit_logs_nothing(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        release = threading.Event()
+
+        def blocked(request, config):
+            release.wait(timeout=60)
+            raise RuntimeError("released after the daemon closed")
+
+        def send(url):
+            # The daemon closes the connection unanswered at exit.
+            with contextlib.suppress(OSError, http.client.HTTPException):
+                _post(url, "/simulate", {"request": {"model": "NCF"}})
+
+        monkeypatch.setattr(daemon_module, "execute_request", blocked)
+        try:
+            store = ResultStore(tmp_path)
+            with background_daemon(QUICK, store) as (url, thread):
+                sender = threading.Thread(target=send, args=(url,))
+                sender.start()
+                deadline = time.monotonic() + 30
+                while _get(url, "/stats")[1]["inflight"] != 1:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            thread.join(timeout=30)
+            sender.join(timeout=30)
+            assert not thread.is_alive() and not sender.is_alive()
+            gc.collect()
+            assert [r.getMessage() for r in caplog.records] == []
+        finally:
+            release.set()

@@ -5,7 +5,11 @@ import json
 import pytest
 
 from repro.core.config import (
+    MAX_BUFFER_DEPTH,
+    MAX_COLS,
+    MAX_SHIFT_WINDOW,
     MAX_TILE_MAC_LANES,
+    MAX_TILES,
     baseline_paper_config,
     fpraker_paper_config,
 )
@@ -109,9 +113,21 @@ class TestSimRequestWireForm:
              "int_bits"),
             ({"config": {"tile": {"pe": {"accumulator": {"chunk_size": 0}}}}},
              "chunk_size"),
-            # One MAC lane over MAX_TILE_MAC_LANES (8 x 512 x 8 is at it).
-            ({"config": {"tile": {"cols": 512, "pe": {"lanes": 9}}}},
+            # One MAC lane over MAX_TILE_MAC_LANES (512 x 8 x 8 is at it).
+            ({"config": {"tile": {"rows": 512, "pe": {"lanes": 9}}}},
              r"config\.tile .*<= 32768"),
+            # One over each size bound; each ran, taking memory and time
+            # that grow with the value.
+            ({"config": {"tiles": MAX_TILES + 1}}, r"config\.tiles .*<="),
+            ({"config": {"tile": {"cols": MAX_COLS + 1}}},
+             r"config\.tile\.cols .*<="),
+            ({"config": {"tile": {"buffer_depth": MAX_BUFFER_DEPTH + 1}}},
+             r"config\.tile\.buffer_depth .*<="),
+            ({"config": {"tile": {"pe": {"shift_window": MAX_SHIFT_WINDOW + 1}}}},
+             r"config\.tile\.pe\.shift_window .*<="),
+            # 8 x 512 x 8 is at the MAC-lane bound, but over the column
+            # bound: the dearest shape measured.
+            ({"config": {"tile": {"cols": 512}}}, r"config\.tile\.cols .*<="),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
@@ -122,13 +138,28 @@ class TestSimRequestWireForm:
 
     @pytest.mark.parametrize(
         "tile",
-        [{"cols": 512}, {"rows": 64, "cols": 64}, {"pe": {"lanes": 512}}],
+        [{"rows": 512}, {"rows": 64, "cols": 64}, {"pe": {"lanes": 512}}],
     )
     def test_tile_at_the_mac_lane_bound_is_accepted(self, tile):
         data = SimRequest.make("NCF").to_dict()
         data["config"] = {"tile": tile}
         config = SimRequest.from_dict(data).resolved_config()
         assert config.tile.macs_per_group_step == MAX_TILE_MAC_LANES
+
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"tiles": MAX_TILES},
+            {"tile": {"cols": MAX_COLS}},
+            {"tile": {"buffer_depth": MAX_BUFFER_DEPTH}},
+            {"tile": {"pe": {"shift_window": MAX_SHIFT_WINDOW}}},
+        ],
+    )
+    def test_size_at_its_bound_is_accepted(self, config):
+        data = SimRequest.make("NCF").to_dict()
+        data["config"] = config
+        assert SimRequest.from_dict(data).config is not None
 
 
 class TestEnvelopes:
