@@ -26,9 +26,14 @@ from typing import Any, Callable, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
-# (value, its dotted name) -> the value as its field stores it.  Raises
-# ValueError naming the value.
-Step = Callable[[Any, str], Any]
+# Where a value sits, for error messages: the dotted path given to
+# from_dict, or (where its container sits, its field name or list
+# index).  It is spelled out only when a value fails.
+Where = str | tuple[Any, str | int]
+
+# (value, where it sits) -> the value as its field stores it.  Raises
+# ValueError naming where.
+Step = Callable[[Any, Where], Any]
 
 _BOUNDS = frozenset({"minimum", "exclusive_minimum", "maximum", "choices"})
 _SCALARS: dict[type, type | tuple[type, ...]] = {
@@ -65,15 +70,27 @@ def check(obj: Any) -> None:
     _plan(type(obj)).check(obj)
 
 
+def _dotted(where: Where) -> str:
+    """The dotted name of a :data:`Where`."""
+    if isinstance(where, str):
+        return where
+    outer, key = where
+    prefix = _dotted(outer)
+    if isinstance(key, int):
+        return f"{prefix}[{key}]"
+    return f"{prefix}.{key}" if prefix else key
+
+
 def _scalar(kind: type, meta: typing.Mapping[str, Any]) -> Step:
     """The check of one ``int``, ``float``, ``bool`` or ``str`` value."""
     accepted = _SCALARS[kind]
 
-    def valid(value: Any, where: str) -> Any:
+    def valid(value: Any, where: Where) -> Any:
         if type(value) is not kind:
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(
-                    f"{where} must be {kind.__name__}, got {value!r}"
+                    f"{_dotted(where)} must be {kind.__name__}, "
+                    f"got {value!r}"
                 )
             if kind is float:
                 value = float(value)
@@ -87,7 +104,7 @@ def _scalar(kind: type, meta: typing.Mapping[str, Any]) -> Step:
     choices = meta.get("choices")
 
     # Written as "not within" so that NaN fails every numeric bound.
-    def bounded(value: Any, where: str) -> Any:
+    def bounded(value: Any, where: Where) -> Any:
         value = valid(value, where)
         if minimum is not None and not value >= minimum:
             rule = f">= {minimum}"
@@ -99,7 +116,7 @@ def _scalar(kind: type, meta: typing.Mapping[str, Any]) -> Step:
             rule = "one of " + ", ".join(map(repr, choices))
         else:
             return value
-        raise ValueError(f"{where} must be {rule}, got {value!r}")
+        raise ValueError(f"{_dotted(where)} must be {rule}, got {value!r}")
 
     return bounded
 
@@ -109,8 +126,8 @@ class _Rule(NamedTuple):
 
     decode: Step
     encode: Callable[[Any], Any] | None  # None: written as it is
-    json: type | None  # the JSON type to_dict writes; None if bounded
-    scalar: bool  # read as it is; ``check`` applies ``decode`` too
+    plain: type | None  # a value of this type is read as it is
+    scalar: bool  # ``check`` applies ``decode`` to the field
 
 
 def _rule(hint: Any, meta: typing.Mapping[str, Any]) -> _Rule:
@@ -120,7 +137,7 @@ def _rule(hint: Any, meta: typing.Mapping[str, Any]) -> _Rule:
         (inner,) = [arg for arg in args if arg is not type(None)]
         rule = _rule(inner, meta)
 
-        def optional(value: Any, where: str) -> Any:
+        def optional(value: Any, where: Where) -> Any:
             return None if value is None else rule.decode(value, where)
 
         return rule._replace(decode=optional)
@@ -130,7 +147,7 @@ def _rule(hint: Any, meta: typing.Mapping[str, Any]) -> _Rule:
         raise TypeError(f"bounds apply to scalar fields only, not {hint!r}")
     if isinstance(hint, type) and dataclasses.is_dataclass(hint):
         plan = _plan(hint)
-        return _Rule(plan.decode, plan.encode, dict, False)
+        return _Rule(plan.decode, plan.encode, None, False)
     if origin not in (list, tuple) or not args:
         raise TypeError(f"no codec for field type {hint!r}")
     sequence: Callable[[list], Any] = tuple if origin is tuple else list
@@ -138,25 +155,27 @@ def _rule(hint: Any, meta: typing.Mapping[str, Any]) -> _Rule:
     items = [_rule(arg, {}) for arg in (args[:1] if variadic else args)]
     shape = "a list" if variadic else f"a list of {len(items)} items"
 
-    def decode(value: Any, where: str) -> Any:
+    def decode(value: Any, where: Where) -> Any:
         if not isinstance(value, (list, tuple)) or not (
             variadic or len(value) == len(items)
         ):
-            raise ValueError(f"{where} must be {shape}, got {value!r}")
+            raise ValueError(f"{_dotted(where)} must be {shape}, got {value!r}")
         steps = items * len(value) if variadic else items
         return sequence([
-            step.decode(element, f"{where}[{index}]")
+            element if type(element) is step.plain
+            else step.decode(element, (where, index))
             for index, (step, element) in enumerate(zip(steps, value))
         ])
 
     def encode(value: Any) -> list:
         steps = items * len(value) if variadic else items
         return [
-            step.encode(element) if step.encode else element
+            element if step.encode is None or element is None
+            else step.encode(element)
             for step, element in zip(steps, value)
         ]
 
-    return _Rule(decode, encode, list, False)
+    return _Rule(decode, encode, None, False)
 
 
 class _Plan:
@@ -168,100 +187,77 @@ class _Plan:
         self.cls = cls
         self.names = tuple(f.name for f in fields)
         self.known = frozenset(self.names)
-        self.fields: list[tuple[str, _Rule, bool, bool]] = []
+        self.size = len(self.names)
+        self.rules: dict[str, _Rule] = {}
+        # (name, the type read as it is, its decode, required) of each
+        # field, in declaration order.
+        self.reads: list[tuple[str, type | None, Step, bool]] = []
         for f in fields:
             if not _BOUNDS.issuperset(f.metadata):
                 raise TypeError(f"{cls.__name__}.{f.name}: unknown bound")
-            rule = _rule(hints[f.name], f.metadata)
+            rule = self.rules[f.name] = _rule(hints[f.name], f.metadata)
             required = f.default is f.default_factory is dataclasses.MISSING
-            self.fields.append((f.name, rule, required, f.default is None))
-        self.decode = self._fast_decode() or self.decode_checked
-
-    def _fast_decode(self) -> Callable[[Any, str], Any] | None:
-        """Generate the reader of a payload as :func:`to_dict` writes
-        it, which reads a cache of results in about half the time of
-        :meth:`decode_checked`.  It passes any other payload to that
-        method, and a class with bounds gets none."""
-        if any(rule.json is None for _, rule, _, _ in self.fields):
-            return None
-        env: dict[str, Any] = {"cls": self.cls, "known": self.known}
-        env["checked"] = self.decode_checked
-        reads: list[str] = []
-        tests: list[str] = []
-        args: list[str] = []
-        for index, (name, rule, _, omit_none) in enumerate(self.fields):
-            value, kind, step = f"v{index}", f"t{index}", f"s{index}"
-            env[kind], env[step] = rule.json, rule.decode
-            read = f"{value} = data[{name!r}]"
-            test = f"type({value}) is {kind}"
-            arg = value if rule.scalar else f"{step}({value}, p + {name!r})"
-            if omit_none:  # to_dict leaves the field out when None
-                read = f"{value} = data.get({name!r})"
-                test = f"({value} is None or {test})"
-                arg = f"None if {value} is None else {arg}"
-            reads.append(read)
-            tests.append(test)
-            args.append(arg)
-        exec(  # every name in the source comes from the class itself
-            "def decode(data, path):\n"
-            "    if type(data) is dict and known.issuperset(data):\n"
-            "        try:\n"
-            f"            {'; '.join(reads) or 'pass'}\n"
-            "        except KeyError:\n"
-            "            return checked(data, path)\n"
-            f"        if {' and '.join(tests) or 'True'}:\n"
-            "            p = path + '.' if path else ''\n"
-            f"            return cls({', '.join(args)})\n"
-            "    return checked(data, path)\n",
-            env,
-        )
-        return env["decode"]
+            self.reads.append((f.name, rule.plain, rule.decode, required))
+        self.encodes = [
+            (name, rule.encode) for name, rule in self.rules.items()
+            if rule.encode is not None
+        ]
+        # The fields to_dict leaves out when their value is None.
+        self.omissible = [f.name for f in fields if f.default is None]
 
     def encode(self, obj: Any) -> dict:
         """See :func:`to_dict`."""
-        data: dict[str, Any] = {}
-        for name, rule, _, omit_none in self.fields:
-            value = getattr(obj, name)
-            if value is None:
-                if omit_none:
-                    continue
-            elif rule.encode is not None:
-                value = rule.encode(value)
-            data[name] = value
+        # A dataclass's __init__ sets its fields in declaration order.
+        data = obj.__dict__.copy()
+        if len(data) != self.size:  # it holds more than its fields
+            data = {name: data[name] for name in self.names}
+        for name, encode in self.encodes:
+            value = data[name]
+            if value is not None:
+                data[name] = encode(value)
+        for name in self.omissible:
+            if data[name] is None:
+                del data[name]
         return data
 
-    def decode_checked(self, data: Any, path: str) -> Any:
-        """See :func:`from_dict`: one field at a time, naming what fails."""
-        label = path or self.cls.__name__
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"{label} must be an object of {self.cls.__name__} "
-                f"fields, got {type(data).__name__}"
-            )
-        if not self.known.issuperset(data):
-            unknown = ", ".join(sorted(map(repr, set(data) - self.known)))
-            raise ValueError(
-                f"{label} has unknown field(s) {unknown}; known fields: "
-                f"{', '.join(self.names)}"
-            )
+    def decode(self, data: Any, where: Where) -> Any:
+        """See :func:`from_dict`."""
+        if not isinstance(data, dict) or not self.known.issuperset(data):
+            raise ValueError(self._refusal(data, where))
         kwargs: dict[str, Any] = {}
-        for name, rule, required, _ in self.fields:
+        for name, plain, decode, required in self.reads:
             value = data.get(name, _MISSING)
-            where = f"{path}.{name}" if path else name
-            if value is not _MISSING:
-                kwargs[name] = rule.decode(value, where)
+            if type(value) is plain:
+                kwargs[name] = value
+            elif value is not _MISSING:
+                kwargs[name] = decode(value, (where, name))
             elif required:
-                raise ValueError(f"{where} is required")
+                raise ValueError(f"{_dotted((where, name))} is required")
         try:
             return self.cls(**kwargs)
         except ValueError as exc:
             raise ValueError(
-                f"{label} is not a valid {self.cls.__name__}: {exc}"
+                f"{_dotted(where) or self.cls.__name__} is not a valid "
+                f"{self.cls.__name__}: {exc}"
             ) from None
+
+    def _refusal(self, data: Any, where: Where) -> str:
+        """Why ``data`` is not an object of this class's fields."""
+        label = _dotted(where) or self.cls.__name__
+        if not isinstance(data, dict):
+            return (
+                f"{label} must be an object of {self.cls.__name__} "
+                f"fields, got {type(data).__name__}"
+            )
+        unknown = ", ".join(sorted(map(repr, set(data) - self.known)))
+        return (
+            f"{label} has unknown field(s) {unknown}; known fields: "
+            f"{', '.join(self.names)}"
+        )
 
     def check(self, obj: Any) -> None:
         """See :func:`check`."""
-        for name, rule, _, _ in self.fields:
+        for name, rule in self.rules.items():
             if rule.scalar:
                 value = getattr(obj, name)
                 stored = rule.decode(value, name)

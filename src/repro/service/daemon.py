@@ -197,6 +197,7 @@ class ServiceDaemon:
         # Each open connection's handler task and writer, so that
         # aclose can end them.
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._closing = False
         self._executor: Executor | None = None
         self._server: asyncio.AbstractServer | None = None
 
@@ -404,6 +405,9 @@ class ServiceDaemon:
         The request must arrive within :data:`READ_TIMEOUT_S`; an idle
         or stalled client is closed unanswered at the deadline.
         """
+        if self._closing:  # accepted while aclose was closing the rest
+            writer.transport.abort()
+            return
         task = asyncio.current_task()
         assert task is not None  # a handler always runs as a task
         self._connections[task] = writer
@@ -474,18 +478,23 @@ class ServiceDaemon:
         return self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
-        """Serve until cancelled (call after :meth:`start`)."""
+        """Serve until cancelled (call after :meth:`start`).
+
+        :meth:`start` already accepts connections, so this only waits.
+        It leaves the server alone: from Python 3.12.1 on, cancelling
+        ``Server.serve_forever`` or leaving ``async with server`` waits
+        for every open connection to close by itself, before
+        :meth:`aclose` could close them.
+        """
         assert self._server is not None, "daemon not started"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     async def aclose(self) -> None:
         """Stop accepting, cancel in-flight work, close the open
         connections and wait for their handlers, release the pool."""
+        self._closing = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for future in list(self._inflight.values()):
             future.cancel()
         self._inflight.clear()
@@ -494,9 +503,23 @@ class ServiceDaemon:
         for writer in self._connections.values():
             writer.transport.abort()
         await asyncio.gather(*self._connections, return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        if self._server is not None:
+            # Only now: from 3.12.1 on this waits for the connections.
+            await self._server.wait_closed()
+            self._server = None
+        pool, self._executor = self._executor, None
+        if isinstance(pool, ProcessPoolExecutor):
+            # A simulation still running has lost its client: end it
+            # now, rather than have interpreter exit wait for it, and
+            # join the pool, so that exit finds no pool thread to race.
+            # SIGKILL, as a worker forked after asyncio took SIGTERM
+            # inherits its no-op handler.  Before Python 3.14 the pool
+            # reaches its workers only through ``_processes``.
+            for worker in pool._processes.values():
+                worker.kill()
+            pool.shutdown(wait=True)
+        elif pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 async def _serve(

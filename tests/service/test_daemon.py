@@ -8,6 +8,7 @@ import http.client
 import json
 import logging
 import os
+import queue
 import re
 import signal
 import socket
@@ -638,50 +639,124 @@ class TestConnect:
             ServiceClient("ftp://example")
 
 
+@contextlib.contextmanager
+def _daemon_process(tmp_path, prelude=""):
+    """``repro serve --jobs 1`` on a free port, with ``prelude`` run
+    first, in its own session: its process group then holds the daemon
+    and its pool workers only.
+
+    Yields:
+        ``(process, base URL, output)``, where ``output()`` waits for
+        the process's output to end and returns it.
+    """
+    src = str(Path(repro.__file__).parents[1])
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ),
+    }
+    script = (
+        prelude + "import sys\nfrom repro.__main__ import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    command = [
+        sys.executable, "-c", script, "serve",
+        "--store", str(tmp_path / "store"), "--port", "0", "--jobs", "1",
+    ]
+    process = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env, start_new_session=True,
+    )
+    lines: list[str] = []
+    urls: queue.Queue = queue.Queue()
+
+    def read():
+        for line in process.stdout:
+            lines.append(line)
+            found = re.search(r"http://[\d.]+:\d+", line)
+            if found:
+                urls.put(found.group(0))
+        urls.put(None)  # the output ended
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+
+    def output():
+        reader.join(timeout=60)
+        return "".join(lines)
+
+    try:
+        try:
+            url = urls.get(timeout=60)
+        except queue.Empty:
+            url = None
+        assert url, f"the daemon did not listen; its output: {lines!r}"
+        yield process, url, output
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(process.pid, signal.SIGKILL)
+        process.wait(timeout=60)
+        reader.join(timeout=60)
+        process.stdout.close()
+
+
+def _assert_terminated_cleanly(process, url, output):
+    """SIGTERM ends the daemon at once, exiting 0 with only its
+    listening and shutdown lines, and its pool workers with it."""
+    process.terminate()
+    assert process.wait(timeout=20) == 0
+    listening, *rest = output().splitlines()
+    assert url in listening and rest == ["repro serve: shut down"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(process.pid, 0)
+
+
 class TestShutdown:
     def test_sigterm_exits_cleanly_with_its_workers(self, tmp_path):
-        src = str(Path(repro.__file__).parents[1])
-        env = {
-            **os.environ,
-            "PYTHONPATH": os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])
-            ),
-        }
-        command = [
-            sys.executable, "-m", "repro", "serve",
-            "--store", str(tmp_path / "store"), "--port", "0", "--jobs", "1",
-        ]
-        # Its own session, so that the group holds the daemon and its
-        # pool workers only.
-        process = subprocess.Popen(
-            command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True, env=env, start_new_session=True,
-        )
-        try:
-            url = None
-            for line in process.stdout:  # up to the listening line
-                url = re.search(r"http://[\d.]+:\d+", line)
-                if url:
-                    break
-            assert url, "the daemon exited before listening"
+        with _daemon_process(tmp_path) as (process, url, output):
             status, body = _post(
-                url.group(0), "/simulate",
+                url, "/simulate",
                 {"request": {"model": "NCF", "phases": ["AxW"]}},
                 timeout=120,
             )
             assert (status, body["status"]) == (200, "miss")
-            process.terminate()
-            assert process.wait(timeout=60) == 0
-            assert "shut down" in process.stdout.read()
-            with pytest.raises(ProcessLookupError):
-                os.killpg(process.pid, 0)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(process.pid, signal.SIGKILL)
-            process.wait(timeout=60)
-            process.stdout.close()
+            host, port = url.removeprefix("http://").split(":")
+            with socket.create_connection((host, int(port)), timeout=10):
+                # An idle client must not hold the shutdown; the
+                # health check makes sure its handler is running.
+                assert _get(url, "/healthz")[0] == 200
+                _assert_terminated_cleanly(process, url, output)
 
-    def test_idle_connection_at_exit_logs_nothing(self, tmp_path, caplog):
+    def test_sigterm_ends_a_simulation_in_flight(self, tmp_path):
+        # The forked pool worker runs the patched function.
+        prelude = (
+            "import time\nfrom repro.service import daemon\n"
+            "def simulate(request, config):\n    time.sleep(600)\n"
+            "daemon.execute_request = simulate\n"
+        )
+
+        def send(url):
+            # The daemon closes the connection unanswered at exit.
+            with contextlib.suppress(OSError, http.client.HTTPException):
+                _post(url, "/simulate", {"request": {"model": "NCF"}})
+
+        with _daemon_process(tmp_path, prelude) as (process, url, output):
+            sender = threading.Thread(target=send, args=(url,))
+            sender.start()
+            deadline = time.monotonic() + 60
+            while _get(url, "/stats")[1]["inflight"] != 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            _assert_terminated_cleanly(process, url, output)
+            sender.join(timeout=30)
+            assert not sender.is_alive()
+
+    def test_idle_connection_at_exit_logs_nothing(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        # Left to itself, the idle connection would outlast the joins.
+        monkeypatch.setattr(daemon_module, "READ_TIMEOUT_S", 600.0)
         caplog.set_level(logging.WARNING, logger="asyncio")
         with background_daemon(QUICK, ResultStore(tmp_path)) as (url, thread):
             host, port = url.removeprefix("http://").split(":")
@@ -703,7 +778,9 @@ class TestShutdown:
         release = threading.Event()
 
         def blocked(request, config):
-            release.wait(timeout=60)
+            # Longer than the joins below, so only a daemon that stops
+            # waiting for it passes.
+            release.wait(timeout=600)
             raise RuntimeError("released after the daemon closed")
 
         def send(url):

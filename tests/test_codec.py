@@ -42,6 +42,12 @@ def test_none_at_a_none_default_is_left_out_and_read_back():
     assert codec.from_dict(Tree, {**data, "spare": None}, "") == tree
 
 
+def test_only_fields_are_written_in_declaration_order():
+    leaf = Leaf(1.5)
+    leaf.note = "an attribute, not a field"
+    assert list(codec.to_dict(leaf).items()) == [("x", 1.5), ("label", "leaf")]
+
+
 def test_int_in_a_float_field_reads_as_float():
     leaf = codec.from_dict(Leaf, {"x": 2}, "")
     assert type(leaf.x) is float
