@@ -21,7 +21,8 @@ setup(
         ],
         # Static-analysis toolchain for the CI lint gate: ruff/mypy
         # configs live in ruff.toml / mypy.ini; the project-specific
-        # rules need no extra install (tests/lint runs them).
+        # RPR rules are plain functions in tests/lint/rules.py and need
+        # no extra install.
         "lint": [
             "ruff",
             "mypy",

@@ -42,6 +42,7 @@ import json
 import sys
 from pathlib import Path
 
+from repro.core.accelerator import MEMORY_ENGINES
 from repro.harness import experiments
 from repro.harness.cache import ResultCache, table_key
 from repro.harness.extensions import (
@@ -50,6 +51,7 @@ from repro.harness.extensions import (
 )
 from repro.harness.runner import SessionConfig, SimulationSession
 from repro.models.zoo import MODEL_ZOO
+from repro.scale.partition import SCHEMES
 
 EXPERIMENTS = {
     "table1": experiments.run_table1,
@@ -186,7 +188,7 @@ def _session_flags() -> argparse.ArgumentParser:
     )
     parent.add_argument(
         "--memory-engine",
-        choices=("roofline", "hierarchy"),
+        choices=MEMORY_ENGINES,
         default="roofline",
         help="memory model for FPRaker simulations (default: roofline)",
     )
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument(
         "--partition",
-        choices=("data", "model", "pipeline"),
+        choices=SCHEMES,
         default=None,
         help="scale-out partition scheme (default: data)",
     )

@@ -1,22 +1,16 @@
 """Value analyses behind the paper's motivation figures (Figs 1, 2, 6)."""
 
-from repro.analysis.sparsity import (
-    SparsityReport,
-    model_sparsity_report,
-    all_models_sparsity,
-)
+from repro.analysis.sparsity import SparsityReport, model_sparsity_report
 from repro.analysis.potential import (
     phase_potential_speedup,
     model_potential_speedups,
 )
-from repro.analysis.exponents import exponent_histogram, exponent_range_covered
+from repro.analysis.exponents import exponent_range_covered
 
 __all__ = [
     "SparsityReport",
     "model_sparsity_report",
-    "all_models_sparsity",
     "phase_potential_speedup",
     "model_potential_speedups",
-    "exponent_histogram",
     "exponent_range_covered",
 ]

@@ -13,31 +13,6 @@ import numpy as np
 from repro.fp.bfloat16 import bf16_fields
 
 
-def exponent_histogram(
-    values: np.ndarray,
-    lo: int = -64,
-    hi: int = 48,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized histogram of unbiased exponents of nonzero values.
-
-    Args:
-        values: bfloat16-representable array.
-        lo: lowest exponent bin edge.
-        hi: highest exponent bin edge (exclusive).
-
-    Returns:
-        ``(bins, density)``: bin left edges and the fraction of nonzero
-        values per bin (sums to <= 1; out-of-range values excluded).
-    """
-    _, exp, _, is_zero = bf16_fields(np.asarray(values).ravel())
-    exps = exp[~is_zero]
-    bins = np.arange(lo, hi + 1)
-    if exps.size == 0:
-        return bins[:-1], np.zeros(bins.size - 1)
-    counts, _ = np.histogram(exps, bins=bins)
-    return bins[:-1], counts / exps.size
-
-
 def exponent_range_covered(values: np.ndarray, mass: float = 0.99) -> int:
     """Width of the exponent band holding a probability mass.
 

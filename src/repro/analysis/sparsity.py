@@ -59,24 +59,3 @@ def model_sparsity_report(
         value[tensor] = value_sparsity(values)
         term[tensor] = term_sparsity(values)
     return SparsityReport(model=model_name, value=value, term=term)
-
-
-def all_models_sparsity(
-    models: tuple[str, ...],
-    sample_size: int = 65536,
-    seed: int = 0,
-) -> list[SparsityReport]:
-    """Sparsity reports for a list of models.
-
-    Args:
-        models: model names.
-        sample_size: values sampled per tensor.
-        seed: RNG seed.
-
-    Returns:
-        One report per model, in order.
-    """
-    return [
-        model_sparsity_report(name, sample_size=sample_size, seed=seed)
-        for name in models
-    ]

@@ -33,6 +33,7 @@ from repro.harness.runner import (
     SimRequest,
     SimulationSession,
     WireFormatError,
+    as_request,
 )
 from repro.service.client import (
     ServiceClient,
@@ -157,14 +158,7 @@ def sweep(
     Returns:
         Results in request order (duplicates share one simulation).
     """
-    resolved = []
-    for entry in requests:
-        if isinstance(entry, SimRequest):
-            resolved.append(entry)
-        elif isinstance(entry, str):
-            resolved.append(SimRequest.make(entry))
-        else:
-            resolved.append(SimRequest.from_dict(entry))
+    resolved = [as_request(entry) for entry in requests]
     runner = _resolve_session(session, session_config)
     runner.prefetch(resolved)
     return [runner.resolve(request) for request in resolved]

@@ -91,10 +91,6 @@ class WorkloadResult:
         """Total cycles of one training phase across layers."""
         return sum(p.cycles for p in self.phases if p.phase == phase)
 
-    def macs_of_phase(self, phase: str) -> int:
-        """Total MACs of one training phase across layers."""
-        return sum(p.macs for p in self.phases if p.phase == phase)
-
     def counters_total(self) -> SimCounters:
         """Merged activity counters."""
         total = SimCounters()
@@ -290,6 +286,11 @@ class _PhasePrep:
         return int(self.a_stack.shape[0])
 
 
+# The memory engines that price off-chip traffic, in the order the CLI
+# and the rejection messages list them.
+MEMORY_ENGINES = ("roofline", "hierarchy")
+
+
 class AcceleratorSimulator:
     """FPRaker accelerator simulator (compute + memory roofline + energy).
 
@@ -328,7 +329,7 @@ class AcceleratorSimulator:
         seed: int = 1234,
         memory_engine: str = "roofline",
     ) -> None:
-        if memory_engine not in ("roofline", "hierarchy"):
+        if memory_engine not in MEMORY_ENGINES:
             raise ValueError(f"unknown memory engine {memory_engine!r}")
         self.config = config if config is not None else fpraker_paper_config()
         self.energy = EnergyModel()

@@ -73,11 +73,6 @@ class LaneLedger:
             return {name: 0.0 for name in self.CATEGORIES}
         return {name: getattr(self, name) / total for name in self.CATEGORIES}
 
-    def utilization(self) -> float:
-        """Fraction of lane-cycles doing useful work."""
-        total = self.total()
-        return self.useful / total if total else 0.0
-
 
 @dataclass
 class TermLedger:

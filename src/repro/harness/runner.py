@@ -30,7 +30,7 @@ from pathlib import Path
 
 from repro import codec
 from repro.core import simulator_for
-from repro.core.accelerator import WorkloadResult
+from repro.core.accelerator import MEMORY_ENGINES, WorkloadResult
 from repro.core.config import (
     AcceleratorConfig,
     baseline_paper_config,
@@ -39,6 +39,7 @@ from repro.core.config import (
 )
 from repro.harness.cache import ResultCache
 from repro.models import MODEL_ZOO
+from repro.scale.partition import SCHEMES
 from repro.traces.workloads import build_workloads
 
 # Version of SimRequest's public wire form (``to_dict``/``from_dict``).
@@ -96,7 +97,7 @@ class SimRequest:
     phases: tuple[str, ...] | None = None
     nodes: int = field(default=1, metadata={"minimum": 1})
     partition: str = field(
-        default="data", metadata={"choices": ("data", "model", "pipeline")}
+        default="data", metadata={"choices": SCHEMES}
     )
 
     @staticmethod
@@ -203,6 +204,17 @@ class SimRequest:
                 f"{list(_KNOWN_PHASES)}, got {data['phases']!r}"
             )
         return request
+
+
+def as_request(entry: SimRequest | str | dict) -> SimRequest:
+    """Coerce a :class:`SimRequest`, a wire-form dict or a bare model
+    name into a request (a dict is validated by
+    :meth:`SimRequest.from_dict`)."""
+    if isinstance(entry, SimRequest):
+        return entry
+    if isinstance(entry, str):
+        return SimRequest.make(entry)
+    return SimRequest.from_dict(entry)
 
 
 def canonical_key(request: SimRequest, config: SessionConfig) -> str:
@@ -320,7 +332,7 @@ class SessionConfig:
     sample_steps: int = field(default=32, metadata={"minimum": 1})
     sim_seed: int = field(default=1234, metadata={"minimum": 0})
     memory_engine: str = field(
-        default="roofline", metadata={"choices": ("roofline", "hierarchy")}
+        default="roofline", metadata={"choices": MEMORY_ENGINES}
     )
 
     def __post_init__(self) -> None:

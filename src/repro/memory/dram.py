@@ -1,8 +1,8 @@
 """Off-chip DRAM model: 16 GB, 4-channel LPDDR4-3200 (paper Table II).
 
-Bandwidth and energy follow the vendor-model style the paper uses
-(Micron's DDR4 power calculator): a peak streaming bandwidth derated by
-an efficiency factor, and a per-bit transfer energy.  The container
+Bandwidth follows the vendor-model style the paper uses (Micron's DDR4
+power calculator): a peak streaming bandwidth derated by an efficiency
+factor.  The container
 layout (32x32 squares matching DRAM row sizes) is what justifies the
 high streaming efficiency.
 """
@@ -22,15 +22,12 @@ class DRAMModel:
         channel_bytes: bytes per transfer per channel (x32 = 4 B).
         efficiency: achieved fraction of peak (row hits dominate thanks
             to the container layout).
-        energy_pj_per_bit: transfer energy, vendor-model ballpark for
-            LPDDR4.
     """
 
     channels: int = 4
     transfer_rate_mts: float = 3200.0
     channel_bytes: int = 4
     efficiency: float = 0.85
-    energy_pj_per_bit: float = 4.0
 
     @property
     def peak_bandwidth_gbs(self) -> float:
@@ -68,14 +65,3 @@ class DRAMModel:
         if not nbytes > 0:  # also catches NaN, which fails every compare
             return 0.0
         return nbytes / self.bytes_per_cycle(clock_mhz)
-
-    def transfer_energy_nj(self, nbytes: float) -> float:
-        """Energy to move ``nbytes``, in nanojoules.
-
-        Args:
-            nbytes: bytes transferred.
-
-        Returns:
-            Transfer energy in nJ.
-        """
-        return nbytes * 8.0 * self.energy_pj_per_bit / 1e3

@@ -26,8 +26,6 @@ from repro.nn.layers import (
     ReLU,
     MaxPool2d,
     Flatten,
-    Dropout,
-    BatchNorm2d,
 )
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
@@ -44,8 +42,6 @@ __all__ = [
     "ReLU",
     "MaxPool2d",
     "Flatten",
-    "Dropout",
-    "BatchNorm2d",
     "Sequential",
     "SGD",
     "Trainer",

@@ -79,11 +79,6 @@ class MatmulEngine:
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config if config is not None else EngineConfig()
 
-    @property
-    def mode(self) -> str:
-        """Active arithmetic mode."""
-        return self.config.mode
-
     def quantize_tensor(self, values: np.ndarray) -> np.ndarray:
         """Quantize a tensor as it would be written to memory.
 

@@ -286,104 +286,3 @@ class Flatten(Layer):
         if self._shape is None:
             raise RuntimeError("backward before forward")
         return grad_out.reshape(self._shape)
-
-
-class Dropout(Layer):
-    """Inverted dropout.
-
-    Args:
-        rate: drop probability.
-        rng: mask RNG (deterministic training runs).
-    """
-
-    name = "dropout"
-
-    def __init__(self, rate: float, rng: np.random.Generator) -> None:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"rate must be in [0, 1), got {rate}")
-        self.rate = rate
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        if not training or self.rate == 0.0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_out
-        return grad_out * self._mask
-
-
-class BatchNorm2d(Layer):
-    """Batch normalization over NCHW channels (fp32 internals).
-
-    Normalization is element-wise (not MAC-bound), so it runs at full
-    precision like the paper's frameworks do.
-
-    Args:
-        channels: channel count.
-        momentum: running-stat momentum.
-        eps: variance epsilon.
-    """
-
-    name = "batchnorm"
-
-    def __init__(
-        self, channels: int, momentum: float = 0.9, eps: float = 1e-5
-    ) -> None:
-        self.gamma = np.ones(channels)
-        self.beta = np.zeros(channels)
-        self.gamma_grad = np.zeros(channels)
-        self.beta_grad = np.zeros(channels)
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        axes = (0, 2, 3)
-        if training:
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            self.running_mean = (
-                self.momentum * self.running_mean + (1 - self.momentum) * mean
-            )
-            self.running_var = (
-                self.momentum * self.running_var + (1 - self.momentum) * var
-            )
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-        if training:
-            self._cache = (x_hat, inv_std, x)
-        return self.gamma[None, :, None, None] * x_hat + self.beta[
-            None, :, None, None
-        ]
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward before forward")
-        x_hat, inv_std, x = self._cache
-        axes = (0, 2, 3)
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        self.gamma_grad = (grad_out * x_hat).sum(axis=axes)
-        self.beta_grad = grad_out.sum(axis=axes)
-        g = grad_out * self.gamma[None, :, None, None]
-        mean_g = g.mean(axis=axes)
-        mean_gx = (g * x_hat).mean(axis=axes)
-        return (
-            g
-            - mean_g[None, :, None, None]
-            - x_hat * mean_gx[None, :, None, None]
-        ) * inv_std[None, :, None, None]
-
-    def parameters(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(self.gamma, self.gamma_grad), (self.beta, self.beta_grad)]

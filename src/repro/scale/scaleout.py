@@ -133,20 +133,9 @@ class ScaleOutResult:
     link_energy_nj: float = 0.0
 
     @property
-    def macs(self) -> float:
-        """MACs retired across all nodes (>= the model's, by padding)."""
-        return sum(s.macs for s in self.node_summaries)
-
-    @property
     def total_energy_nj(self) -> float:
         """Node energy plus link energy, in nanojoules."""
         return self.energy.total + self.link_energy_nj
-
-    def speedup_vs(self, other: "ScaleOutResult") -> float:
-        """Makespan speedup of this run relative to ``other``."""
-        if self.cycles == 0:
-            return float("inf")
-        return other.cycles / self.cycles
 
     def to_dict(self) -> dict:
         """JSON-serializable form (exact float round-trip; read back

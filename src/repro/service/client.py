@@ -24,7 +24,7 @@ import urllib.parse
 from dataclasses import dataclass, field
 
 from repro.core.config import AcceleratorConfig
-from repro.harness.runner import SimRequest
+from repro.harness.runner import SimRequest, as_request
 from repro.service import wire
 
 
@@ -80,15 +80,6 @@ class SweepOutcome:
         return self.statuses.count("hit") / len(self.statuses)
 
 
-def _as_request(entry) -> SimRequest:
-    """Coerce a SimRequest / wire dict / model name into a request."""
-    if isinstance(entry, SimRequest):
-        return entry
-    if isinstance(entry, str):
-        return SimRequest.make(entry)
-    return SimRequest.from_dict(entry)
-
-
 class ServiceClient:
     """Blocking HTTP client bound to one daemon.
 
@@ -110,13 +101,17 @@ class ServiceClient:
         timeout: float = 600.0,
         poll_timeout: float = 10.0,
     ) -> None:
-        parsed = urllib.parse.urlsplit(base_url)
-        if not base_url.startswith("http://") or not parsed.hostname:
+        try:
+            parsed = urllib.parse.urlsplit(base_url)
+            host, port = parsed.hostname, parsed.port
+        except ValueError:  # a bad IPv6 literal or port
+            host = port = None
+        if not base_url.startswith("http://") or not host:
             raise ServiceError(
                 f"base_url must look like http://host:port, got {base_url!r}"
             )
-        self.host = parsed.hostname
-        self.port = parsed.port or 80
+        self.host = host
+        self.port = port or 80
         self.timeout = timeout
         self.poll_timeout = poll_timeout
 
@@ -218,7 +213,7 @@ class ServiceClient:
         """
         body = {
             "schema": wire.ENVELOPE_SCHEMA,
-            "request": _as_request(request).to_dict(),
+            "request": as_request(request).to_dict(),
         }
         answer = self._call("POST", "/simulate", body)
         return (
@@ -274,7 +269,7 @@ class ServiceClient:
         """
         body = {
             "schema": wire.ENVELOPE_SCHEMA,
-            "requests": [_as_request(r).to_dict() for r in requests],
+            "requests": [as_request(r).to_dict() for r in requests],
         }
         answer = self._call("POST", "/sweep", body)
         outcome = SweepOutcome(stats=answer.get("stats", {}))

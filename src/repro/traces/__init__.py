@@ -23,11 +23,7 @@ from repro.traces.calibration import (
     CALIBRATIONS,
     get_calibration,
 )
-from repro.traces.synthetic import (
-    generate_tensor,
-    mantissas_with_mean_terms,
-    measured_stats,
-)
+from repro.traces.synthetic import generate_tensor, mantissas_with_mean_terms
 from repro.traces.evolution import calibration_at
 from repro.traces.workloads import build_workloads, build_phase_workload
 from repro.traces.workload_cache import (
@@ -47,7 +43,6 @@ __all__ = [
     "get_calibration",
     "generate_tensor",
     "mantissas_with_mean_terms",
-    "measured_stats",
     "calibration_at",
     "build_workloads",
     "build_phase_workload",

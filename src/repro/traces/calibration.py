@@ -60,11 +60,6 @@ class TensorStats:
         """Derived term sparsity relative to 8 bit-parallel slots."""
         return 1.0 - (1.0 - self.value_sparsity) * self.mean_terms_nonzero / 8.0
 
-    @property
-    def mean_terms(self) -> float:
-        """Average terms per value, zeros included."""
-        return (1.0 - self.value_sparsity) * self.mean_terms_nonzero
-
 
 @dataclass(frozen=True)
 class ModelCalibration:

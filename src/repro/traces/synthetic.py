@@ -12,11 +12,10 @@ signs.  Everything is exactly representable in bfloat16 by construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.encoding.booth import _LUT_COUNT, term_count, term_sparsity, value_sparsity
+from repro.encoding.booth import _LUT_COUNT
 from repro.fp.softfloat import BFLOAT16
 from repro.traces.calibration import TensorStats
 
@@ -78,33 +77,6 @@ def _gibbs_inverse(target: float) -> tuple[float, tuple[float, ...]]:
     return lam, tuple(weights)
 
 
-def gibbs_cache_info():
-    """Hit/miss statistics of the cached lambda inverse."""
-    return _gibbs_inverse.cache_info()
-
-
-def gibbs_cache_clear() -> None:
-    """Drop the cached lambda inverse (cold-path benchmarking)."""
-    _gibbs_inverse.cache_clear()
-
-
-def _gibbs_lambda(mean_terms: float) -> float:
-    """Solve for the Gibbs weight that hits a target mean term count.
-
-    Weights ``w(man) ~ exp(-lambda * terms(man))`` over all significands;
-    bisection on the monotone mean-vs-lambda curve, cached per clipped
-    target (:func:`_gibbs_inverse`).
-
-    Args:
-        mean_terms: target mean CSD terms among nonzero significands.
-
-    Returns:
-        The lambda achieving the target (clipped to the feasible range).
-    """
-    target = float(np.clip(mean_terms, 1.05, 4.4))
-    return _gibbs_inverse(target)[0]
-
-
 def mantissas_with_mean_terms(
     mean_terms: float, size: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -163,34 +135,3 @@ def generate_tensor(
     values = signs * magnitudes
     values[zero_mask] = 0.0
     return values
-
-
-@dataclass
-class MeasuredStats:
-    """Statistics measured back from a generated (or captured) tensor.
-
-    Attributes:
-        value_sparsity: zero fraction.
-        term_sparsity: term sparsity relative to 8 slots.
-        mean_terms: average terms per value, zeros included.
-    """
-
-    value_sparsity: float
-    term_sparsity: float
-    mean_terms: float
-
-
-def measured_stats(values: np.ndarray) -> MeasuredStats:
-    """Measure the calibration-relevant statistics of a tensor.
-
-    Args:
-        values: bfloat16-representable array.
-
-    Returns:
-        The :class:`MeasuredStats`.
-    """
-    return MeasuredStats(
-        value_sparsity=value_sparsity(values),
-        term_sparsity=term_sparsity(values),
-        mean_terms=float(term_count(values).mean()),
-    )

@@ -68,9 +68,6 @@ class TestLaneLedger:
         assert a.useful == 7.0
         assert a.exponent == 2.0
 
-    def test_utilization(self):
-        assert LaneLedger(useful=3, no_term=1).utilization() == 0.75
-
 
 class TestTermLedger:
     def test_skipped_fraction(self):

@@ -25,7 +25,7 @@ from repro.core.workload import PhaseWorkload
 from repro.fp.accumulator import AccumulatorSpec
 from repro.fp.bfloat16 import bf16_quantize
 from repro.harness.experiments import _rows_config, _variant_config
-from repro.traces.synthetic import gibbs_cache_clear
+from repro.traces.synthetic import _gibbs_inverse
 from repro.traces.workload_cache import WorkloadCache
 from repro.traces.workloads import build_workloads
 
@@ -287,7 +287,7 @@ class TestPhaseStacking:
                     config, sample_strips=2, sample_steps=8
                 )
                 shared = build_workloads("NCF", progress=progress, cache=cache)
-                gibbs_cache_clear()
+                _gibbs_inverse.cache_clear()
                 cold = build_workloads("NCF", progress=progress, cache=None)
                 stacked = sim.simulate_workload(shared)
                 assert _phase_dicts(stacked.phases) == _phase_dicts(

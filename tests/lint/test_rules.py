@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.rules import RULES
-
 from . import run_rules
+from .rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -21,7 +20,7 @@ CASES = [
 
 def test_every_registered_rule_has_a_fixture_case():
     codes = {code for code, _, _, _ in CASES}
-    assert codes == {rule.code for rule in RULES}
+    assert codes == set(RULES)
 
 
 @pytest.mark.parametrize(
@@ -29,7 +28,7 @@ def test_every_registered_rule_has_a_fixture_case():
 )
 def test_trigger_fixture_fires(code, trigger, clean, lines):
     findings = run_rules([FIXTURES / trigger], select={code})
-    assert [(f.line, f.code) for f in findings] == [
+    assert [(line, rule) for _, line, _, rule, _ in findings] == [
         (line, code) for line in lines
     ]
 
@@ -43,17 +42,7 @@ def test_clean_fixture_is_quiet(code, trigger, clean, lines):
 
 def test_findings_are_sorted_and_attributed():
     findings = run_rules([FIXTURES / "rpr001_trigger.py"], select={"RPR001"})
-    keys = [f.sort_key() for f in findings]
-    assert keys == sorted(keys)
-    for finding in findings:
-        assert finding.line > 0
-        assert finding.path.endswith("rpr001_trigger.py")
-
-
-def test_rule_metadata_complete():
-    codes = [rule.code for rule in RULES]
-    assert codes == sorted(set(codes))
-    for rule_cls in RULES:
-        assert rule_cls.name
-        assert rule_cls.rationale
-        assert rule_cls.__doc__
+    assert findings == sorted(findings)
+    for path, line, _, _, _ in findings:
+        assert line > 0
+        assert path.endswith("rpr001_trigger.py")

@@ -240,11 +240,6 @@ class TestDRAM:
         assert dram.transfer_cycles(-128.0, 600.0) == 0.0
         assert dram.transfer_cycles(float("nan"), 600.0) == 0.0
 
-    def test_energy(self):
-        dram = DRAMModel(energy_pj_per_bit=4.0)
-        # 1 byte = 8 bits = 32 pJ = 0.032 nJ.
-        assert dram.transfer_energy_nj(1.0) == pytest.approx(0.032)
-
     def test_bytes_per_cycle(self):
         dram = DRAMModel()
         expected = 51.2e9 * dram.efficiency / 600e6

@@ -12,10 +12,8 @@ from repro.nn.functional import (
     softmax,
 )
 from repro.nn.layers import (
-    BatchNorm2d,
     Conv2d,
     Dense,
-    Dropout,
     Flatten,
     MaxPool2d,
     ReLU,
@@ -235,47 +233,3 @@ class TestElementwiseLayers:
         out = flat.forward(x)
         assert out.shape == (2, 48)
         assert flat.backward(out).shape == x.shape
-
-    def test_dropout_inference_identity(self, rng):
-        drop = Dropout(0.5, rng)
-        x = rng.normal(0, 1, (100, 10))
-        assert np.array_equal(drop.forward(x, training=False), x)
-
-    def test_dropout_scales(self, rng):
-        drop = Dropout(0.5, rng)
-        x = np.ones((2000, 10))
-        out = drop.forward(x, training=True)
-        assert out.mean() == pytest.approx(1.0, abs=0.05)
-
-    def test_dropout_rate_validation(self, rng):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng)
-
-
-class TestBatchNorm:
-    def test_normalizes(self, rng):
-        bn = BatchNorm2d(4)
-        x = rng.normal(3.0, 2.0, (8, 4, 5, 5))
-        out = bn.forward(x)
-        assert abs(out.mean()) < 1e-6
-        assert out.std() == pytest.approx(1.0, abs=0.01)
-
-    def test_numeric_gradient(self, rng):
-        bn = BatchNorm2d(2)
-        x = rng.normal(0, 1, (3, 2, 2, 2))
-        target = rng.normal(0, 1, (3, 2, 2, 2))
-
-        def loss():
-            return float(((bn.forward(x) - target) ** 2).sum())
-
-        out = bn.forward(x)
-        grad = bn.backward(2 * (out - target))
-        numeric = _numeric_grad(loss, x)
-        assert np.allclose(grad, numeric, atol=1e-4)
-
-    def test_running_stats_used_at_inference(self, rng):
-        bn = BatchNorm2d(2)
-        for _ in range(50):
-            bn.forward(rng.normal(5.0, 1.0, (16, 2, 3, 3)))
-        out = bn.forward(np.full((1, 2, 3, 3), 5.0), training=False)
-        assert abs(out.mean()) < 0.2

@@ -193,7 +193,7 @@ class TestMultiNodeBehavior:
         assert runs[2].cycles < runs[1].cycles
         assert runs[4].cycles < runs[2].cycles
         # Communication makes scaling sub-linear.
-        assert runs[4].speedup_vs(runs[1]) < 4.0
+        assert runs[1].cycles < 4.0 * runs[4].cycles
 
     def test_symmetric_nodes_identical(self, ncf_workloads, monkeypatch):
         """Symmetric schemes simulate one node and replicate it; the

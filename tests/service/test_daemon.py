@@ -634,9 +634,18 @@ class TestConnect:
         with pytest.raises(ServiceError, match="repro serve"):
             connect("http://127.0.0.1:1", timeout=2.0)
 
-    def test_malformed_url_rejected(self):
-        with pytest.raises(ServiceError, match="http"):
-            ServiceClient("ftp://example")
+    @pytest.mark.parametrize(
+        "url",
+        [
+            "ftp://example",
+            "http://127.0.0.1:abc",
+            "http://127.0.0.1:99999",
+            "http://[::1",
+        ],
+    )
+    def test_malformed_url_rejected(self, url):
+        with pytest.raises(ServiceError, match="http://host:port"):
+            ServiceClient(url)
 
 
 @contextlib.contextmanager

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.workload import PHASES
+from repro.encoding.booth import term_sparsity, value_sparsity
 from repro.fp.bfloat16 import bf16_quantize
 from repro.models.zoo import STUDIED_MODELS, get_model
 from repro.traces.calibration import (
@@ -12,11 +13,7 @@ from repro.traces.calibration import (
     get_calibration,
 )
 from repro.traces.evolution import calibration_at
-from repro.traces.synthetic import (
-    generate_tensor,
-    mantissas_with_mean_terms,
-    measured_stats,
-)
+from repro.traces.synthetic import generate_tensor, mantissas_with_mean_terms
 from repro.traces.workloads import (
     ACTIVATION_BUFFER_BYTES,
     build_phase_workload,
@@ -72,11 +69,10 @@ class TestSyntheticGenerator:
             for tensor in ("A", "W", "G"):
                 stats = calibration.for_tensor(tensor)
                 values = generate_tensor(stats, 40000, rng)
-                measured = measured_stats(values)
-                assert measured.value_sparsity == pytest.approx(
+                assert value_sparsity(values) == pytest.approx(
                     stats.value_sparsity, abs=0.02
                 )
-                assert measured.term_sparsity == pytest.approx(
+                assert term_sparsity(values) == pytest.approx(
                     stats.term_sparsity, abs=0.02
                 )
 

@@ -5,13 +5,7 @@ cached Gibbs-lambda inverse."""
 import numpy as np
 import pytest
 
-from repro.traces.synthetic import (
-    _gibbs_inverse,
-    _gibbs_lambda,
-    _gibbs_lambda_bisect,
-    gibbs_cache_clear,
-    gibbs_cache_info,
-)
+from repro.traces.synthetic import _gibbs_inverse, _gibbs_lambda_bisect
 from repro.traces.workload_cache import (
     WORKLOAD_CACHE_VERSION,
     WorkloadCache,
@@ -297,23 +291,23 @@ class TestLRUOrder:
 
 class TestGibbsCache:
     def test_cached_inverse_matches_bisection(self):
-        gibbs_cache_clear()
+        _gibbs_inverse.cache_clear()
         targets = np.linspace(0.9, 4.6, 23)
         for target in targets:
             clipped = float(np.clip(target, 1.05, 4.4))
-            assert _gibbs_lambda(target) == _gibbs_lambda_bisect(clipped)
+            assert _gibbs_inverse(clipped)[0] == _gibbs_lambda_bisect(clipped)
 
     def test_repeated_targets_hit(self):
-        gibbs_cache_clear()
-        _gibbs_lambda(2.5)
-        before = gibbs_cache_info().hits
-        _gibbs_lambda(2.5)
-        _gibbs_lambda(2.5)
-        assert gibbs_cache_info().hits == before + 2
-        assert gibbs_cache_info().misses == 1
+        _gibbs_inverse.cache_clear()
+        _gibbs_inverse(2.5)
+        before = _gibbs_inverse.cache_info().hits
+        _gibbs_inverse(2.5)
+        _gibbs_inverse(2.5)
+        assert _gibbs_inverse.cache_info().hits == before + 2
+        assert _gibbs_inverse.cache_info().misses == 1
 
     def test_cached_weights_are_the_bisection_weights(self):
-        gibbs_cache_clear()
+        _gibbs_inverse.cache_clear()
         lam, weights = _gibbs_inverse(3.0)
         from repro.traces.synthetic import _MAN_TERMS
 
