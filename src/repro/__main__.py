@@ -15,12 +15,16 @@ Usage::
 All simulation-driven experiments share one
 :class:`repro.harness.runner.SimulationSession`, so ``run all`` performs
 each unique ``(model, config, progress, seed, acc_profile)`` simulation
-exactly once; ``--jobs`` fans cache misses out over worker processes and
-``--cache DIR`` persists results on disk across invocations.  The nine
-experiments that take no session (the tables, Figs 1, 2, 6, 10 and 17,
-and ``memory_profile``) are cached whole under ``DIR/tables``, keyed by
-experiment id and every bound argument, so a warm run reads their
-tables instead of running them.  ``--models``, ``--nodes`` and ``--partition``
+exactly once, and ``--cache DIR`` persists results on disk across
+invocations.  The nine experiments that take no session (the tables,
+Figs 1, 2, 6, 10 and 17, and ``memory_profile``) are cached whole under
+``DIR/tables``, keyed by experiment id and every bound argument, so a
+warm run reads their tables instead of running them.  A run first
+plans: each session experiment names its simulations to a recording
+session.  Then one pool of ``--jobs`` worker processes (this process
+at one job) runs the sessionless experiments that miss the table cache
+and every planned simulation, and only then does each experiment
+render, in order, from the filled memo.  ``--models``, ``--nodes`` and ``--partition``
 reach each experiment that takes the matching keyword; naming one
 experiment that does not take a given flag exits 2.
 ``--memory-engine hierarchy`` prices off-chip traffic with the
@@ -40,16 +44,17 @@ import argparse
 import inspect
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.core.accelerator import MEMORY_ENGINES
-from repro.harness import experiments
+from repro.harness import experiments, runner
 from repro.harness.cache import ResultCache, table_key
 from repro.harness.extensions import (
     run_inference_extension,
     run_precision_schedule,
 )
-from repro.harness.runner import SessionConfig, SimulationSession
+from repro.harness.runner import SessionConfig, SimRequest, SimulationSession
 from repro.models.zoo import MODEL_ZOO
 from repro.scale.partition import SCHEMES
 
@@ -110,22 +115,110 @@ def _table_key(name: str, func, kwargs: dict) -> str:
     return table_key(name, bound.arguments)
 
 
-def _run_tables(name: str, func, kwargs: dict, cache: ResultCache | None):
-    """Run a sessionless experiment, answering from ``cache`` if it can;
-    a miss runs the experiment and stores its tables."""
-    if cache is None:
-        return func(**kwargs)
-    key = _table_key(name, func, kwargs)
-    tables = cache.load(key)
-    if tables is None:
-        tables = _tables(func(**kwargs))
-        cache.store(key, tables)
-    return tables
-
-
 def _tables(result) -> tuple:
     """Normalize an experiment's return value to a tuple of tables."""
     return result if isinstance(result, tuple) else (result,)
+
+
+def _run_sessionless(name: str, kwargs: dict) -> tuple:
+    """Run one sessionless experiment, looked up by id.
+
+    Module-level, and given the id rather than the function, so that a
+    pool worker receives it by name and calls whatever its own
+    ``EXPERIMENTS`` holds (a tracing wrapper included, which pickle
+    could not find by name).
+    """
+    return _tables(EXPERIMENTS[name](**kwargs))
+
+
+class _Planned(Exception):
+    """An experiment has named its simulations (planning pass only)."""
+
+
+class _PlanningSession(SimulationSession):
+    """The session of ``repro run``'s planning pass: :meth:`prefetch`
+    records the requests and stops the experiment before it reads a
+    result, so nothing is simulated and no cache is read or written."""
+
+    def __init__(self, config: SessionConfig) -> None:
+        super().__init__(replace(config, cache_dir=None))
+        self.requests: list[SimRequest] = []
+
+    def prefetch(self, requests, pool=None) -> None:
+        self.requests.extend(requests)
+        raise _Planned
+
+
+def _run_plan(
+    names: list[str], kwargs_of: dict, session: SimulationSession
+) -> dict[str, tuple]:
+    """Run every experiment's cold work before any of them renders.
+
+    A planning pass collects the simulations each session experiment
+    will read (:class:`_PlanningSession`).  Then one pool of
+    ``session.config.jobs`` workers -- or this process, at one job --
+    takes the sessionless experiments that miss the table cache, in
+    ``EXPERIMENTS`` order, and after them every planned simulation, in
+    plan order.  Rendering then only reads: session experiments hit the
+    memo, and a planned key that is somehow missing still simulates on
+    its first read, so correctness never depends on the plan.
+
+    Args:
+        names: experiment ids, in ``EXPERIMENTS`` order.
+        kwargs_of: each experiment's flag keywords.
+        session: the run's session; its memo (and ``--cache``) ends up
+            holding every planned result.
+
+    Returns:
+        The tables of every sessionless experiment among ``names``.
+        With ``--cache``, each one that ran is stored under
+        ``cache_dir/tables``.
+    """
+    cache_dir = session.config.cache_dir
+    table_cache = (
+        ResultCache(Path(cache_dir) / "tables") if cache_dir else None
+    )
+    tables: dict[str, tuple] = {}
+    table_keys: dict[str, str] = {}
+    units: list[str] = []
+    planner = _PlanningSession(session.config)
+    for name in names:
+        func = EXPERIMENTS[name]
+        if _accepts_session(func):
+            try:
+                func(**kwargs_of[name], session=planner)
+            except _Planned:
+                pass
+            continue
+        if table_cache is not None:
+            table_keys[name] = _table_key(name, func, kwargs_of[name])
+            cached = table_cache.load(table_keys[name])
+            if cached is not None:
+                tables[name] = cached
+                continue
+        units.append(name)
+
+    def arrived(name: str, result: tuple) -> None:
+        tables[name] = result
+        if table_cache is not None:
+            table_cache.store(table_keys[name], result)
+
+    if session.config.jobs == 1:
+        for name in units:
+            arrived(name, _run_sessionless(name, kwargs_of[name]))
+        session.prefetch(planner.requests)
+        return tables
+    # Looked up on the module at call time, so a traced run's pool
+    # class (which times each wait on a result) is the one built.
+    with runner.ProcessPoolExecutor(max_workers=session.config.jobs) as pool:
+        futures = {
+            name: pool.submit(_run_sessionless, name, kwargs_of[name])
+            for name in units
+        }
+        session.prefetch(planner.requests, pool=pool)
+        for name, future in futures.items():
+            arrived(name, future.result())
+    return tables
 
 
 def _show(result) -> None:
@@ -184,7 +277,9 @@ def _session_flags() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for independent simulations (default: 1)",
+        help="worker processes for independent simulations and, under "
+        "`run`, the experiments that take no simulation session "
+        "(default: 1)",
     )
     parent.add_argument(
         "--memory-engine",
@@ -211,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
     session_flags = _session_flags()
-    runner = sub.add_parser(
+    run_parser = sub.add_parser(
         "run",
         help="run one experiment (or 'all')",
         parents=[session_flags],
     )
-    runner.add_argument("experiment", help="experiment id, or 'all'")
-    runner.add_argument(
+    run_parser.add_argument("experiment", help="experiment id, or 'all'")
+    run_parser.add_argument(
         "--cache",
         metavar="DIR",
         default=None,
@@ -225,25 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
         "tensors under DIR (warm reruns; `serve --store DIR` shares the "
         "simulation results)",
     )
-    runner.add_argument(
+    run_parser.add_argument(
         "--models",
         nargs="+",
         default=None,
         help="restrict model-sweep experiments to these Table-I models",
     )
-    runner.add_argument(
+    run_parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="artifact format printed to stdout / written to --out",
     )
-    runner.add_argument(
+    run_parser.add_argument(
         "--out",
         metavar="DIR",
         default=None,
         help="also write each artifact to DIR/<experiment>.{txt,json}",
     )
-    runner.add_argument(
+    run_parser.add_argument(
         "--nodes",
         nargs="+",
         type=_positive_int,
@@ -252,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="scale-out node counts for the scaleout experiment "
         "(default: 1 2 4 8)",
     )
-    runner.add_argument(
+    run_parser.add_argument(
         "--partition",
         choices=SCHEMES,
         default=None,
@@ -357,6 +452,14 @@ def main(argv: list[str] | None = None) -> int:
         if value is not None and Path(value).exists() and not Path(value).is_dir():
             print(f"{flag} {value!r} is not a directory", file=sys.stderr)
             return 2
+    kwargs_of = {
+        name: {
+            parameter: value
+            for parameter, value in flag_kwargs.items()
+            if _accepts(EXPERIMENTS[name], parameter)
+        }
+        for name in names
+    }
     session = SimulationSession(
         config=SessionConfig(
             jobs=args.jobs,
@@ -364,25 +467,17 @@ def main(argv: list[str] | None = None) -> int:
             memory_engine=args.memory_engine,
         )
     )
+    tables = _run_plan(names, kwargs_of, session)
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
-    table_cache = (
-        ResultCache(Path(args.cache) / "tables") if args.cache else None
-    )
     suffix = "json" if args.format == "json" else "txt"
     json_out = {}
     for name in names:
-        func = EXPERIMENTS[name]
-        kwargs = {
-            parameter: value
-            for parameter, value in flag_kwargs.items()
-            if _accepts(func, parameter)
-        }
-        if _accepts_session(func):
-            result = func(**kwargs, session=session)
+        if name in tables:
+            result = tables[name]
         else:
-            result = _run_tables(name, func, kwargs, table_cache)
+            result = EXPERIMENTS[name](**kwargs_of[name], session=session)
         if args.format == "json":
             json_out[name] = _payload(result)
         else:

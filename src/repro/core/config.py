@@ -44,6 +44,11 @@ MAX_COLS = 64
 MAX_TILES = 4096
 MAX_BUFFER_DEPTH = 64
 MAX_SHIFT_WINDOW = 64
+# Clock frequency: far above the paper's 600 MHz, and low enough that
+# ``clock_mhz * 1e6`` stays finite.  Past it (an infinite clock, or
+# 1e303 MHz) the DRAM model's bytes per cycle read 0 and every
+# simulation raised ZeroDivisionError.
+MAX_CLOCK_MHZ = 100_000.0
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,8 @@ class AcceleratorConfig:
     )
     tile: TileConfig = field(default_factory=TileConfig)
     clock_mhz: float = field(
-        default=600.0, metadata={"exclusive_minimum": 0}
+        default=600.0,
+        metadata={"exclusive_minimum": 0, "maximum": MAX_CLOCK_MHZ},
     )
     serial_side_selection: str = field(
         default="auto", metadata={"choices": ("auto", "a", "b")}

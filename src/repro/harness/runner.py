@@ -9,9 +9,9 @@ simulations -- the baseline and a few FPRaker variants per Table-I model
   progress, seed, acc_profile)`` plus the sampling parameters, so each
   unique simulation runs exactly once per session;
 * **fans out** independent cache misses over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``), with
-  bit-identical results to a serial run because every simulation is a
-  deterministic function of its key;
+  :class:`concurrent.futures.ProcessPoolExecutor` (``jobs > 1``, or a
+  pool the caller passes in), with bit-identical results to a serial
+  run because every simulation is a deterministic function of its key;
 * optionally **persists** results to disk (:class:`ResultCache`), so a
   repeated ``python -m repro run`` starts warm.
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -503,16 +503,22 @@ class SimulationSession:
 
     # -- execution ---------------------------------------------------------
 
-    def prefetch(self, requests: list[SimRequest]) -> None:
+    def prefetch(
+        self, requests: list[SimRequest], pool: Executor | None = None
+    ) -> None:
         """Ensure every request's result is in the memo.
 
         Deduplicates, consults the disk cache, then runs the remaining
-        cold simulations -- over the process pool when ``jobs > 1``.
-        Results are identical to serial execution because each
-        simulation is a deterministic function of its request.
+        cold simulations -- on ``pool`` when one is given, else over a
+        process pool of its own when ``jobs > 1``.  Results are
+        identical to serial execution because each simulation is a
+        deterministic function of its request.
 
         Args:
             requests: simulations an experiment is about to read.
+            pool: an executor already running other work (``repro run``
+                shares one between its experiments); None builds one
+                for this call when ``jobs > 1``.
         """
         todo: dict[str, SimRequest] = {}
         for request in requests:
@@ -529,17 +535,23 @@ class SimulationSession:
         if not todo:
             return
         items = list(todo.items())
-        if self.config.jobs == 1 or len(items) == 1:
+
+        def run_on(executor: Executor) -> list:
+            futures = [
+                executor.submit(execute_request, request, self.config)
+                for _, request in items
+            ]
+            return [future.result() for future in futures]
+
+        if pool is not None:
+            results = run_on(pool)
+        elif self.config.jobs == 1 or len(items) == 1:
             results = [
                 execute_request(request, self.config) for _, request in items
             ]
         else:
-            with ProcessPoolExecutor(max_workers=self.config.jobs) as pool:
-                futures = [
-                    pool.submit(execute_request, request, self.config)
-                    for _, request in items
-                ]
-                results = [future.result() for future in futures]
+            with ProcessPoolExecutor(max_workers=self.config.jobs) as own:
+                results = run_on(own)
         self.stats.simulations += len(items)
         for (key, _), result in zip(items, results):
             self._memo[key] = result

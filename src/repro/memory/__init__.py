@@ -51,7 +51,7 @@ from repro.memory.transposer import (
     transpose_blocks,
     transpose_throughput_cycles,
 )
-from repro.memory.buffers import GlobalBuffer, Scratchpad
+from repro.memory.buffers import GlobalBuffer
 from repro.memory.dram import DRAMModel
 from repro.memory.traffic import (
     MemoryTrafficResult,
@@ -72,7 +72,6 @@ __all__ = [
     "transpose_blocks",
     "transpose_throughput_cycles",
     "GlobalBuffer",
-    "Scratchpad",
     "DRAMModel",
     "MemoryTrafficResult",
     "phase_traffic",

@@ -1,9 +1,9 @@
-"""On-chip buffer models: the banked global buffer and PE scratchpads.
+"""On-chip buffer model: the banked global buffer.
 
-These are activity-counting models: they answer "how many accesses of
-what width happened" (feeding the energy model) and "how many bank
-conflicts did a stride pattern cause" (the reason the paper gives the
-global buffer an odd bank count).
+An activity-counting model: it answers "how many accesses of what
+width happened" (feeding the energy model) and "how many bank conflicts
+did a stride pattern cause" (the reason the paper gives the global
+buffer an odd bank count).
 """
 
 from __future__ import annotations
@@ -98,30 +98,3 @@ class GlobalBuffer:
         for start in range(0, accesses, self.banks):
             total += self.read_burst(addresses[start : start + self.banks])
         return total
-
-
-@dataclass
-class Scratchpad:
-    """Per-tile scratchpad (paper: 2 KB each), access-counting only.
-
-    Tracks access counts and moved bytes for callers driving the
-    hardware protocol directly.  (The traffic engine prices scratchpad
-    staging in closed form -- ``MemoryTrafficResult.scratchpad_bytes``
-    -- rather than through per-access calls here.)
-    """
-
-    capacity_bytes: int = 2048
-    reads: int = 0
-    writes: int = 0
-    bytes_read: float = 0.0
-    bytes_written: float = 0.0
-
-    def read(self, nbytes: int = 16) -> None:
-        """Record a read of ``nbytes``."""
-        self.reads += 1
-        self.bytes_read += nbytes
-
-    def write(self, nbytes: int = 16) -> None:
-        """Record a write of ``nbytes``."""
-        self.writes += 1
-        self.bytes_written += nbytes

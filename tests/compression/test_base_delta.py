@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.compression.base_delta import (
     GROUP_SIZE,
-    exponent_fields,
     HEADER_BITS,
     BASE_BITS,
-    MAX_DELTA_BITS,
     RAW_EXP_BITS,
     compress_exponents,
     compression_summary,

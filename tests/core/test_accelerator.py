@@ -14,7 +14,6 @@ from repro.core.baseline import BaselineAccelerator
 from repro.core.config import (
     baseline_paper_config,
     fpraker_paper_config,
-    pragmatic_paper_config,
 )
 from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.core.workload import PhaseWorkload

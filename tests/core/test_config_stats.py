@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.config import (
-    AcceleratorConfig,
     PEConfig,
     TileConfig,
     baseline_paper_config,

@@ -9,8 +9,6 @@ canonical form rather than raw bits, so term counts differ) and checks
 every qualitative behaviour of the figure.
 """
 
-import numpy as np
-
 from repro.core.config import PEConfig
 from repro.core.pe import FPRakerPE
 from repro.fp.accumulator import AccumulatorSpec, ExtendedAccumulator, exact_product

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from repro.core.config import PEConfig, TileConfig
 from repro.core.tile import TileSimulator, accumulator_exponents

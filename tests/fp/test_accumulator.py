@@ -11,7 +11,6 @@ from repro.fp.accumulator import (
     AccumulatorSpec,
     ChunkAccumulator,
     ExtendedAccumulator,
-    Product,
     dot_reference,
     exact_product,
     rne_shift_right,

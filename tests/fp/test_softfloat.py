@@ -9,7 +9,6 @@ from repro.fp.softfloat import (
     BFLOAT16,
     FP16,
     FP32,
-    FloatFormat,
     compose,
     decompose,
     quantize,

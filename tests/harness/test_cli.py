@@ -2,10 +2,13 @@
 
 import functools
 import json
+import os
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import EXPERIMENTS, _accepts_session, _table_key, main
+from repro.harness import runner
 from repro.harness.report import Table
 
 
@@ -171,6 +174,53 @@ class TestFlagApplicability:
 SESSIONLESS = [
     name for name, func in EXPERIMENTS.items() if not _accepts_session(func)
 ]
+
+
+class TestPlan:
+    """``run all`` runs its cold work before any experiment renders."""
+
+    def test_run_all_renders_without_simulating(self, monkeypatch, capsys):
+        events = []
+        for name in SESSIONLESS:
+            monkeypatch.setitem(
+                EXPERIMENTS, name, _stub(EXPERIMENTS[name], [])
+            )
+        simulate, show = runner.execute_request, cli._show
+
+        def recording_simulate(request, config):
+            events.append("simulate")
+            return simulate(request, config)
+
+        def recording_show(result):
+            events.append("render")
+            show(result)
+
+        monkeypatch.setattr(runner, "execute_request", recording_simulate)
+        monkeypatch.setattr(cli, "_show", recording_show)
+        argv = ["run", "all", "--models", "NCF", "--nodes", "1", "2",
+                "--jobs", "1"]
+        assert main(argv) == 0
+        assert events.count("render") == len(EXPERIMENTS)
+        first_render = events.index("render")
+        assert "simulate" not in events[first_render:]
+        assert "simulate" in events[:first_render]
+
+    def test_jobs_runs_sessionless_experiments_in_a_worker(
+        self, monkeypatch, capsys
+    ):
+        """The pool gets the experiment's id, not the function: a
+        stand-in that pickle cannot find by name still runs there."""
+
+        def where() -> Table:
+            table = Table("where", ["pid"])
+            table.add_row(os.getpid())
+            return table
+
+        monkeypatch.setitem(EXPERIMENTS, "table1", where)
+        assert main(["run", "table1", "--jobs", "2", "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)
+        assert table["title"] == "where"
+        assert table["rows"][0][0] != os.getpid()
 
 
 class TestTableCache:

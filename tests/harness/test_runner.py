@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,6 +274,25 @@ class TestParallelDeterminism:
         assert a.cycles == b.cycles
         assert a.counters_total().lanes == b.counters_total().lanes
         assert a.energy_total().total == b.energy_total().total
+
+    def test_prefetch_runs_cold_keys_on_a_given_pool(self):
+        """A pool the caller passes takes every cold key, once, in
+        order, even in a one-job session."""
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(args[0].model)
+                return super().submit(fn, *args, **kwargs)
+
+        session = _quick_session()
+        requests = [SimRequest.make(m) for m in ("NCF", "SNLI", "NCF")]
+        with Recording(max_workers=2) as pool:
+            session.prefetch(requests, pool=pool)
+        assert submitted == ["NCF", "SNLI"]
+        assert session.stats.simulations == 2
+        serial = _quick_session().simulate("SNLI")
+        assert session.simulate("SNLI").cycles == serial.cycles
 
     def test_figures_share_session_results(self):
         session = _quick_session()

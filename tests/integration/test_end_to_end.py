@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.accelerator import AcceleratorSimulator
 from repro.core.baseline import BaselineAccelerator
-from repro.core.config import fpraker_paper_config
 from repro.core.pragmatic import PragmaticFPAccelerator
 from repro.harness.experiments import (
     run_fig11_speedup,

@@ -2,7 +2,6 @@
 arithmetic, encoding, scheduling and memory layers together."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

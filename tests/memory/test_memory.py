@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fp.bfloat16 import bf16_quantize
-from repro.memory.buffers import GlobalBuffer, Scratchpad
+from repro.memory.buffers import GlobalBuffer
 from repro.memory.container import (
     CONTAINER_BYTES,
-    CONTAINER_SIDE,
     container_count,
     containers_for_bytes,
     pack_containers,
@@ -149,13 +148,6 @@ class TestGlobalBuffer:
         assert gb.reads == 4
         assert gb.conflicts == 0
 
-    def test_scratchpad_counters(self):
-        pad = Scratchpad()
-        pad.read()
-        pad.write()
-        assert (pad.reads, pad.writes) == (1, 1)
-        assert pad.capacity_bytes == 2048
-
 
 class TestBufferEdgeCases:
     """Edge cases the event-level traffic engine exposed."""
@@ -187,12 +179,6 @@ class TestBufferEdgeCases:
             GlobalBuffer(banks=0)
         with pytest.raises(ValueError):
             GlobalBuffer(access_bytes=0)
-
-    def test_scratchpad_tracks_bytes(self):
-        pad = Scratchpad()
-        pad.read(32)
-        pad.write()  # default 16 B
-        assert (pad.bytes_read, pad.bytes_written) == (32.0, 16.0)
 
     def test_single_access_counters(self):
         gb = GlobalBuffer()

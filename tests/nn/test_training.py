@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.nn.data import SyntheticDataset, synthetic_images
-from repro.nn.fpmath import EngineConfig, MatmulEngine
-from repro.nn.layers import Conv2d, Dense, Flatten, MaxPool2d, ReLU
+from repro.nn.data import synthetic_images
+from repro.nn.fpmath import MatmulEngine
+from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.network import Sequential
 from repro.nn.optim import SGD
 from repro.nn.sakr import sakr_accumulator_bits, sakr_accumulator_profile

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import (
     MAX_BUFFER_DEPTH,
+    MAX_CLOCK_MHZ,
     MAX_COLS,
     MAX_SHIFT_WINDOW,
     MAX_TILE_MAC_LANES,
@@ -128,6 +129,13 @@ class TestSimRequestWireForm:
             # 8 x 512 x 8 is at the MAC-lane bound, but over the column
             # bound: the dearest shape measured.
             ({"config": {"tile": {"cols": 512}}}, r"config\.tile\.cols .*<="),
+            # Each raised ZeroDivisionError inside the simulation:
+            # clock_mhz * 1e6 overflowed to infinity, so the DRAM
+            # model's bytes per cycle read 0.  ``json.loads`` reads the
+            # ``Infinity`` literal as float("inf").
+            ({"config": {"clock_mhz": float("inf")}},
+             r"config\.clock_mhz .*<="),
+            ({"config": {"clock_mhz": 1e303}}, r"config\.clock_mhz .*<="),
         ],
     )
     def test_field_validation_names_the_field(self, patch, needle):
@@ -154,6 +162,7 @@ class TestSimRequestWireForm:
             {"tile": {"cols": MAX_COLS}},
             {"tile": {"buffer_depth": MAX_BUFFER_DEPTH}},
             {"tile": {"pe": {"shift_window": MAX_SHIFT_WINDOW}}},
+            {"clock_mhz": MAX_CLOCK_MHZ},
         ],
     )
     def test_size_at_its_bound_is_accepted(self, config):

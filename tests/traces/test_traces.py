@@ -16,7 +16,6 @@ from repro.traces.evolution import calibration_at
 from repro.traces.synthetic import generate_tensor, mantissas_with_mean_terms
 from repro.traces.workloads import (
     ACTIVATION_BUFFER_BYTES,
-    build_phase_workload,
     build_workloads,
 )
 

@@ -3,7 +3,6 @@ builds, across the in-memory LRU, the on-disk tensor store, and the
 cached Gibbs-lambda inverse."""
 
 import numpy as np
-import pytest
 
 from repro.traces.synthetic import _gibbs_inverse, _gibbs_lambda_bisect
 from repro.traces.workload_cache import (
