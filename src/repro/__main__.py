@@ -24,9 +24,9 @@ plans: each session experiment names its simulations to a recording
 session.  Then one pool of ``--jobs`` worker processes (this process
 at one job) runs the sessionless experiments that miss the table cache
 and every planned simulation, and only then does each experiment
-render, in order, from the filled memo.  ``--models``, ``--nodes`` and ``--partition``
-reach each experiment that takes the matching keyword; naming one
-experiment that does not take a given flag exits 2.
+render, in order, from the filled memo.  ``--models``, ``--nodes`` and
+``--partition`` reach each experiment that takes the matching keyword;
+naming one experiment that does not take a given flag exits 2.
 ``--memory-engine hierarchy`` prices off-chip traffic with the
 event-level memory hierarchy (container bursts, bank conflicts,
 transposer occupancy) instead of the flat roofline.
